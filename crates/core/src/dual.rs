@@ -24,6 +24,7 @@
 use crate::allocation::{Allocation, Mode};
 use crate::lagrangian;
 use crate::problem::SlotProblem;
+use crate::soa::{FillScratch, SoaProblem};
 use crate::state::SolverState;
 use crate::waterfill::WaterfillingSolver;
 
@@ -290,10 +291,15 @@ impl DualSolver {
 
         // Final primal recovery: exact fill at the converged modes, then
         // mode-local-search polish (removes the near-tie mode errors a
-        // tolerance-truncated subgradient loop can leave).
+        // tolerance-truncated subgradient loop can leave), sharing one
+        // SoA view and scratch.
         let wf = WaterfillingSolver::new();
-        let filled = wf.fill_given_modes(problem, &modes);
-        let allocation = wf.polish(problem, filled);
+        let soa = SoaProblem::from_problem(problem);
+        let mut scratch = FillScratch::new();
+        let filled = wf.fill_soa(&soa, &modes, &mut scratch).0;
+        let allocation = wf
+            .polish_fill(&soa, &mut scratch, &filled, problem.objective(&filled))
+            .unwrap_or(filled);
         let objective = problem.objective(&allocation);
         DualSolution {
             allocation,

@@ -25,7 +25,7 @@
 //! price passes through zero mid-iteration.
 
 use crate::allocation::{Mode, UserAllocation};
-use crate::problem::UserState;
+use crate::problem::{objective_term, UserState};
 
 /// Result of one user's subproblem at given prices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +73,7 @@ pub fn best_share(success: f64, lambda: f64, w: f64, rate: f64) -> f64 {
 /// restored (it does not change the closed-form share, only the mode
 /// comparison, which it makes throughput-aware).
 pub fn branch_value(success: f64, lambda: f64, w: f64, rate: f64, rho: f64) -> f64 {
-    success * (w + rho * rate).ln() + (1.0 - success) * w.ln() - lambda * rho
+    objective_term(success, w, rate, rho) - lambda * rho
 }
 
 /// Solves the subproblem (14) for one user at prices

@@ -255,13 +255,8 @@ impl SlotProblem {
         let u = &self.users[j];
         let a = alloc.user(j);
         match a.mode {
-            Mode::Mbs => {
-                u.success_mbs * (u.w + a.rho_mbs * u.r_mbs).ln() + (1.0 - u.success_mbs) * u.w.ln()
-            }
-            Mode::Fbs => {
-                u.success_fbs * (u.w + a.rho_fbs * self.fbs_rate(j)).ln()
-                    + (1.0 - u.success_fbs) * u.w.ln()
-            }
+            Mode::Mbs => objective_term(u.success_mbs, u.w, u.r_mbs, a.rho_mbs),
+            Mode::Fbs => objective_term(u.success_fbs, u.w, self.fbs_rate(j), a.rho_fbs),
         }
     }
 
@@ -290,6 +285,15 @@ impl SlotProblem {
         let fbs_of = self.fbs_of();
         (0..self.g.len()).all(|i| alloc.fbs_load(FbsId(i), &fbs_of) <= 1.0 + tol)
     }
+}
+
+/// One user's term of objective (12)/(21) on the branch it is served
+/// by: `success·ln(w + rho·rate) + (1 − success)·ln(w)`. The single
+/// definition behind [`SlotProblem::user_objective`], the Lagrangian
+/// branch values, and the delta-evaluated mode polish, so all three
+/// round identically.
+pub(crate) fn objective_term(success: f64, w: f64, rate: f64, rho: f64) -> f64 {
+    success * (w + rho * rate).ln() + (1.0 - success) * w.ln()
 }
 
 #[cfg(test)]

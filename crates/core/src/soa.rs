@@ -22,7 +22,8 @@
 //! and the committed golden traces do not move. The conformance tests
 //! assert the bit-identity directly.
 
-use crate::problem::SlotProblem;
+use crate::allocation::{Mode, UserAllocation};
+use crate::problem::{objective_term, SlotProblem};
 use fcr_net::node::FbsId;
 
 /// Parallel-array view of a [`SlotProblem`], built once per problem and
@@ -127,6 +128,16 @@ impl SoaProblem {
     /// Users attached to FBS `i`, ascending user order.
     pub fn users_of(&self, i: usize) -> &[usize] {
         &self.fbs_user_ids[self.fbs_user_offsets[i]..self.fbs_user_offsets[i + 1]]
+    }
+
+    /// User `j`'s objective term under `a`: the arithmetic of
+    /// [`SlotProblem::user_objective`] on the flattened columns, so the
+    /// two agree bit for bit.
+    pub(crate) fn user_objective(&self, j: usize, a: &UserAllocation) -> f64 {
+        match a.mode {
+            Mode::Mbs => objective_term(self.s_mbs[j], self.w[j], self.r_mbs[j], a.rho_mbs),
+            Mode::Fbs => objective_term(self.s_fbs[j], self.w[j], self.fbs_rate[j], a.rho_fbs),
+        }
     }
 }
 

@@ -45,10 +45,10 @@ pub struct WaterfillingSolver {
     pub exhaustive_modes_up_to: usize,
     /// [`Self::polish`] tries pairwise mode swaps only when
     /// `num_users ≤ swap_users_up_to` — the swap neighborhood is
-    /// `O(n²)` exact fills, which is the difference between
+    /// `O(n²)` candidates, which is the difference between
     /// microseconds at the paper's N ≤ 3 and hours at a massive-N
-    /// slot's thousands of users. Flip polishing (linear in users)
-    /// always runs.
+    /// slot's thousands of users. Flip polishing (`n` candidates per
+    /// pass) always runs.
     pub swap_users_up_to: usize,
 }
 
@@ -143,7 +143,8 @@ impl WaterfillingSolver {
             modes = new_modes;
         }
 
-        self.polish_with(problem, &soa, &mut scratch, best)
+        self.polish_fill(&soa, &mut scratch, &best, best_value)
+            .unwrap_or(best)
     }
 
     /// Global optimum by enumeration: every `2^n` binary mode vector of
@@ -179,76 +180,90 @@ impl WaterfillingSolver {
     /// matter: exchanging which user holds the big FBS pipe and which
     /// holds the common channel is a two-coordinate move a flip-only
     /// search cannot reach. Returns the best allocation found (never
-    /// worse than the input).
+    /// worse than the input): `allocation` itself unless a candidate
+    /// beats it, else the fill of the last accepted mode vector.
+    ///
+    /// Candidates are delta-evaluated: a flip changes the membership of
+    /// exactly two budgets (the MBS budget and the user's FBS budget), a
+    /// swap of at most three, so only those are refilled and the
+    /// objective is re-summed from a per-user term array — `O(n)` adds
+    /// plus the touched budgets' bisections, instead of a full fill and
+    /// `n` logarithms per candidate. Every candidate, and so every
+    /// accept/reject decision, is bit-identical to a full refill: each
+    /// budget's fill reads only its own members, and the score is the
+    /// same in-order sum of the same per-user terms as
+    /// [`SlotProblem::objective`].
     ///
     /// # Panics
     ///
     /// Panics if `allocation` covers a different number of users than
     /// `problem`.
     pub fn polish(&self, problem: &SlotProblem, allocation: Allocation) -> Allocation {
-        let soa = SoaProblem::from_problem(problem);
-        let mut scratch = FillScratch::new();
-        self.polish_with(problem, &soa, &mut scratch, allocation)
-    }
-
-    fn polish_with(
-        &self,
-        problem: &SlotProblem,
-        soa: &SoaProblem,
-        scratch: &mut FillScratch,
-        allocation: Allocation,
-    ) -> Allocation {
         assert_eq!(
             allocation.len(),
             problem.num_users(),
             "allocation size mismatch"
         );
-        let mut best_value = problem.objective(&allocation);
-        let mut best = allocation;
-        let mut modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
-        let flip = |m: Mode| match m {
-            Mode::Mbs => Mode::Fbs,
-            Mode::Fbs => Mode::Mbs,
-        };
+        let soa = SoaProblem::from_problem(problem);
+        let mut scratch = FillScratch::new();
+        let modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
+        let fill = self.fill_soa(&soa, &modes, &mut scratch).0;
+        self.polish_fill(&soa, &mut scratch, &fill, problem.objective(&allocation))
+            .unwrap_or(allocation)
+    }
+
+    /// [`Self::polish`] from `start`, which must be the fill of its own
+    /// modes, through a prebuilt view and scratch: accepts only
+    /// candidates beating `value` and returns the last one accepted, or
+    /// `None` if none was. [`Self::solve`] and the dual's primal
+    /// recovery start from a fill they already hold.
+    pub(crate) fn polish_fill(
+        &self,
+        soa: &SoaProblem,
+        scratch: &mut FillScratch,
+        start: &Allocation,
+        value: f64,
+    ) -> Option<Allocation> {
+        let n = soa.num_users();
+        let mut best_value = value;
+        let mut fill = DeltaFill::new(self, soa, scratch, start.users().to_vec());
+        let mut accepted = false;
         let mut improved = true;
         let mut passes = 0;
         while improved && passes < self.max_rounds {
             improved = false;
             passes += 1;
-            for j in 0..problem.num_users() {
-                let flipped = flip(modes[j]);
-                let old = std::mem::replace(&mut modes[j], flipped);
-                let candidate = self.fill_soa(soa, &modes, scratch).0;
-                let value = problem.objective(&candidate);
+            for j in 0..n {
+                let value = fill.try_move(&[j]);
                 if value > best_value + 1e-12 {
                     best_value = value;
-                    best = candidate;
+                    fill.commit();
                     improved = true;
                 } else {
-                    modes[j] = old;
+                    fill.revert(&[j]);
                 }
             }
-            if !improved && problem.num_users() <= self.swap_users_up_to {
-                'swaps: for j in 0..problem.num_users() {
-                    for k in (j + 1)..problem.num_users() {
-                        if modes[j] == modes[k] {
+            if !improved && n <= self.swap_users_up_to {
+                'swaps: for j in 0..n {
+                    for k in (j + 1)..n {
+                        if fill.modes[j] == fill.modes[k] {
                             continue;
                         }
-                        modes.swap(j, k);
-                        let candidate = self.fill_soa(soa, &modes, scratch).0;
-                        let value = problem.objective(&candidate);
+                        // Modes differ, so the swap flips both.
+                        let value = fill.try_move(&[j, k]);
                         if value > best_value + 1e-12 {
                             best_value = value;
-                            best = candidate;
+                            fill.commit();
                             improved = true;
                             break 'swaps;
                         }
-                        modes.swap(j, k);
+                        fill.revert(&[j, k]);
                     }
                 }
             }
+            accepted |= improved;
         }
-        best
+        accepted.then(|| Allocation::new(fill.allocs))
     }
 
     /// Exact optimal shares for fixed modes (every budget filled by
@@ -289,39 +304,47 @@ impl WaterfillingSolver {
         scratch: &mut FillScratch,
     ) -> (Allocation, Vec<f64>) {
         assert_eq!(modes.len(), soa.num_users(), "mode vector size mismatch");
-        let n = soa.num_fbss();
         let mut allocations = vec![UserAllocation::idle(); soa.num_users()];
-        let mut lambdas = vec![0.0; n + 1];
-
-        // Constraint 0: the MBS budget. Members gathered in ascending
-        // user order, exactly as the array-of-structs filter visited
-        // them.
-        scratch.clear();
-        for (j, mode) in modes.iter().enumerate() {
-            if *mode == Mode::Mbs {
-                scratch.push(j, soa.s_mbs(j), soa.w(j), soa.r_mbs(j));
+        let mut lambdas = vec![0.0; soa.num_fbss() + 1];
+        for (budget, lambda) in lambdas.iter_mut().enumerate() {
+            *lambda = self.fill_budget(soa, modes, budget, scratch);
+            for (k, j) in scratch.idx.iter().enumerate() {
+                allocations[*j] = member_allocation(budget, scratch.shares[k]);
             }
         }
-        lambdas[0] = self.fill_constraint(scratch);
-        for (k, j) in scratch.idx.iter().enumerate() {
-            allocations[*j] = UserAllocation::mbs(scratch.shares[k]);
-        }
+        (Allocation::new(allocations), lambdas)
+    }
 
-        // Constraints 1..=N: each FBS budget, via the CSR groups (each
-        // group is ascending, so member order again matches the filter).
-        for i in 0..n {
-            scratch.clear();
-            for &j in soa.users_of(i) {
+    /// Fills one budget constraint at `modes` — budget 0 is the MBS,
+    /// budget `1 + i` is FBS `i` — leaving its members (ascending user
+    /// order, exactly as the array-of-structs filter visited them) and
+    /// their shares in `scratch`; returns the water level λ. A budget's
+    /// fill reads nothing but its own members, which is what lets
+    /// [`DeltaFill`] refill budgets one at a time.
+    fn fill_budget(
+        &self,
+        soa: &SoaProblem,
+        modes: &[Mode],
+        budget: usize,
+        scratch: &mut FillScratch,
+    ) -> f64 {
+        scratch.clear();
+        if budget == 0 {
+            for (j, mode) in modes.iter().enumerate() {
+                if *mode == Mode::Mbs {
+                    scratch.push(j, soa.s_mbs(j), soa.w(j), soa.r_mbs(j));
+                }
+            }
+        } else {
+            // CSR groups are ascending, so member order again matches
+            // the filter.
+            for &j in soa.users_of(budget - 1) {
                 if modes[j] == Mode::Fbs {
                     scratch.push(j, soa.s_fbs(j), soa.w(j), soa.fbs_rate(j));
                 }
             }
-            lambdas[1 + i] = self.fill_constraint(scratch);
-            for (k, j) in scratch.idx.iter().enumerate() {
-                allocations[*j] = UserAllocation::fbs(scratch.shares[k]);
-            }
         }
-        (Allocation::new(allocations), lambdas)
+        self.fill_constraint(scratch)
     }
 
     /// Solves one budget over the members gathered in `scratch`:
@@ -375,6 +398,117 @@ impl WaterfillingSolver {
         // `hi` is on the feasible side (Σ ≤ 1).
         shares_into(scratch, hi);
         hi
+    }
+}
+
+/// A member's allocation in budget `budget` (0 = MBS, else an FBS).
+fn member_allocation(budget: usize, share: f64) -> UserAllocation {
+    if budget == 0 {
+        UserAllocation::mbs(share)
+    } else {
+        UserAllocation::fbs(share)
+    }
+}
+
+/// The exact fill of one mode vector (its modes are those of the
+/// fill), kept with its per-user objective terms so a mode move
+/// re-solves only the budgets whose membership it changes.
+///
+/// Bit-identical to a full [`WaterfillingSolver::fill_soa`] of the
+/// moved modes by construction: each budget's fill depends only on its
+/// members, gathered in the same ascending order, so untouched budgets
+/// keep exactly the shares a full refill would recompute; and the score
+/// is the in-order sum of the same per-user terms
+/// [`SlotProblem::objective`] sums.
+struct DeltaFill<'a> {
+    solver: &'a WaterfillingSolver,
+    soa: &'a SoaProblem,
+    scratch: &'a mut FillScratch,
+    modes: Vec<Mode>,
+    allocs: Vec<UserAllocation>,
+    terms: Vec<f64>,
+    /// Budgets the pending move touches.
+    budgets: Vec<usize>,
+    /// The pending move's refilled members: user, new allocation, and
+    /// the term it overwrote.
+    changed: Vec<(usize, UserAllocation, f64)>,
+}
+
+impl<'a> DeltaFill<'a> {
+    /// Wraps `allocs`, which must be the fill of its own modes.
+    fn new(
+        solver: &'a WaterfillingSolver,
+        soa: &'a SoaProblem,
+        scratch: &'a mut FillScratch,
+        allocs: Vec<UserAllocation>,
+    ) -> Self {
+        let modes = allocs.iter().map(|a| a.mode).collect();
+        let terms = allocs
+            .iter()
+            .enumerate()
+            .map(|(j, a)| soa.user_objective(j, a))
+            .collect();
+        Self {
+            solver,
+            soa,
+            scratch,
+            modes,
+            allocs,
+            terms,
+            budgets: Vec::with_capacity(3),
+            changed: Vec::new(),
+        }
+    }
+
+    /// Flips the modes of `movers`, refills the budgets that changes,
+    /// and returns the objective of the result. Must be followed by
+    /// [`Self::commit`] or [`Self::revert`].
+    fn try_move(&mut self, movers: &[usize]) -> f64 {
+        self.budgets.clear();
+        self.budgets.push(0);
+        for &j in movers {
+            self.modes[j] = flip(self.modes[j]);
+            let budget = 1 + self.soa.fbs(j).0;
+            if !self.budgets.contains(&budget) {
+                self.budgets.push(budget);
+            }
+        }
+        self.changed.clear();
+        for &budget in &self.budgets {
+            self.solver
+                .fill_budget(self.soa, &self.modes, budget, self.scratch);
+            for (k, &j) in self.scratch.idx.iter().enumerate() {
+                let a = member_allocation(budget, self.scratch.shares[k]);
+                let term = std::mem::replace(&mut self.terms[j], self.soa.user_objective(j, &a));
+                self.changed.push((j, a, term));
+            }
+        }
+        // User order, exactly as `SlotProblem::objective` sums.
+        self.terms.iter().sum()
+    }
+
+    /// Keeps the pending move.
+    fn commit(&mut self) {
+        for &(j, a, _) in &self.changed {
+            self.allocs[j] = a;
+        }
+    }
+
+    /// Undoes the pending move of `movers`.
+    fn revert(&mut self, movers: &[usize]) {
+        for &(j, _, term) in &self.changed {
+            self.terms[j] = term;
+        }
+        for &j in movers {
+            self.modes[j] = flip(self.modes[j]);
+        }
+    }
+}
+
+fn flip(mode: Mode) -> Mode {
+    match mode {
+        Mode::Mbs => Mode::Fbs,
+        Mode::Fbs => Mode::Mbs,
     }
 }
 
@@ -573,6 +707,254 @@ mod tests {
             assert_eq!(a, b, "residue at mode bits {bits:#06b}");
             let c = solver.fill_with_prices(&p, &modes);
             assert_eq!(a, c, "one-shot entry point diverged at {bits:#06b}");
+        }
+    }
+
+    /// The full-refill polish the delta-evaluated one replaced, kept as
+    /// the bit-identity reference: every candidate is a fresh fill of
+    /// the whole mode vector, scored by [`SlotProblem::objective`].
+    fn polish_reference(
+        solver: &WaterfillingSolver,
+        problem: &SlotProblem,
+        allocation: Allocation,
+    ) -> Allocation {
+        let soa = SoaProblem::from_problem(problem);
+        let mut scratch = FillScratch::new();
+        let mut best_value = problem.objective(&allocation);
+        let mut best = allocation;
+        let mut modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
+        let mut improved = true;
+        let mut passes = 0;
+        while improved && passes < solver.max_rounds {
+            improved = false;
+            passes += 1;
+            for j in 0..problem.num_users() {
+                let old = modes[j];
+                modes[j] = flip(old);
+                let candidate = solver.fill_soa(&soa, &modes, &mut scratch).0;
+                let value = problem.objective(&candidate);
+                if value > best_value + 1e-12 {
+                    best_value = value;
+                    best = candidate;
+                    improved = true;
+                } else {
+                    modes[j] = old;
+                }
+            }
+            if !improved && problem.num_users() <= solver.swap_users_up_to {
+                'swaps: for j in 0..problem.num_users() {
+                    for k in (j + 1)..problem.num_users() {
+                        if modes[j] == modes[k] {
+                            continue;
+                        }
+                        modes.swap(j, k);
+                        let candidate = solver.fill_soa(&soa, &modes, &mut scratch).0;
+                        let value = problem.objective(&candidate);
+                        if value > best_value + 1e-12 {
+                            best_value = value;
+                            best = candidate;
+                            improved = true;
+                            break 'swaps;
+                        }
+                        modes.swap(j, k);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    fn modes_from_bits(bits: &[bool]) -> Vec<Mode> {
+        bits.iter()
+            .map(|b| if *b { Mode::Fbs } else { Mode::Mbs })
+            .collect()
+    }
+
+    /// Several FBSs, some with `G = 0`, and users with occasional zero
+    /// rates or success probabilities (ineffective budget members). A
+    /// draw of 0 from a `(0..k, value)` pair zeroes the value.
+    fn arb_multi_fbs_problem(max_users: usize) -> impl Strategy<Value = SlotProblem> {
+        let zeroable = || (0u8..6, 0.05..=1.0f64);
+        (
+            1usize..=4,
+            proptest::collection::vec((0u8..3, 0.2..6.0f64), 4),
+            proptest::collection::vec(
+                (
+                    5.0..50.0f64,
+                    0usize..4,
+                    zeroable(),
+                    zeroable(),
+                    zeroable(),
+                    zeroable(),
+                ),
+                1..=max_users,
+            ),
+        )
+            .prop_map(|(n_fbss, g, users)| {
+                let value = |(k, x): (u8, f64)| if k == 0 { 0.0 } else { x };
+                let g = g[..n_fbss].iter().map(|&draw| value(draw)).collect();
+                let users = users
+                    .into_iter()
+                    .map(|(w, f, r0, r1, s0, s1)| {
+                        UserState::new(
+                            w,
+                            FbsId(f % n_fbss),
+                            value(r0),
+                            value(r1),
+                            value(s0),
+                            value(s1),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                SlotProblem::new(users, g).unwrap()
+            })
+    }
+
+    fn assert_polish_matches_reference(
+        solver: &WaterfillingSolver,
+        p: &SlotProblem,
+        input: &Allocation,
+    ) -> Allocation {
+        let delta = solver.polish(p, input.clone());
+        let reference = polish_reference(solver, p, input.clone());
+        assert_eq!(delta, reference);
+        assert_eq!(
+            p.objective(&delta).to_bits(),
+            p.objective(&reference).to_bits()
+        );
+        delta
+    }
+
+    #[test]
+    fn delta_polish_matches_the_reference_at_scale_with_many_accepted_flips() {
+        // 200 users over 25 FBSs (every fifth with G = 0), started from
+        // the solved modes with every 7th flipped: the delta path must
+        // walk the reference's accept/reject sequence exactly.
+        let users: Vec<UserState> = (0..200)
+            .map(|j| {
+                let x = j as f64;
+                UserState::new(
+                    10.0 + (x * 7.3) % 35.0,
+                    FbsId(j % 25),
+                    0.3 + (x * 0.37) % 0.6,
+                    0.2 + (x * 0.53) % 0.7,
+                    0.5 + (x * 0.11) % 0.5,
+                    0.4 + (x * 0.29) % 0.6,
+                )
+                .unwrap()
+            })
+            .collect();
+        let g = (0..25)
+            .map(|i| {
+                if i % 5 == 0 {
+                    0.0
+                } else {
+                    1.0 + (i % 4) as f64
+                }
+            })
+            .collect();
+        let p = SlotProblem::new(users, g).unwrap();
+        let solver = WaterfillingSolver::new();
+        let mut modes: Vec<Mode> = solver.solve(&p).users().iter().map(|u| u.mode).collect();
+        for j in (0..modes.len()).step_by(7) {
+            modes[j] = flip(modes[j]);
+        }
+        let start = solver.fill_given_modes(&p, &modes);
+        let polished = assert_polish_matches_reference(&solver, &p, &start);
+        assert!(
+            p.objective(&polished) > p.objective(&start),
+            "flips were accepted"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Delta-evaluated polish ≡ full-refill polish, bit for bit, from
+        /// fills of random modes (flips and swaps get accepted), from
+        /// non-fill inputs, and with `n` on both sides of the swap cap.
+        #[test]
+        fn delta_polish_is_bit_identical_to_full_refill_polish(
+            p in arb_multi_fbs_problem(12),
+            bits in proptest::collection::vec(proptest::bool::ANY, 12),
+            swap_cap in 0usize..=12,
+            input_kind in 0u8..3,
+        ) {
+            let solver = WaterfillingSolver { swap_users_up_to: swap_cap, ..WaterfillingSolver::new() };
+            let modes = modes_from_bits(&bits[..p.num_users()]);
+            let fill = solver.fill_given_modes(&p, &modes);
+            let soa = SoaProblem::from_problem(&p);
+            let input = match input_kind {
+                0 => fill,
+                // Half of every fill share: feasible, not a fill.
+                1 => Allocation::new(
+                    fill.users()
+                        .iter()
+                        .map(|a| match a.mode {
+                            Mode::Mbs => UserAllocation::mbs(0.5 * a.rho_mbs),
+                            Mode::Fbs => UserAllocation::fbs(0.5 * a.rho_fbs),
+                        })
+                        .collect(),
+                ),
+                // Every user at a full share on its better branch: no
+                // fill can beat it, so polish must hand it back as is.
+                _ => Allocation::new(
+                    (0..p.num_users())
+                        .map(|j| {
+                            let (mbs, fbs) = (UserAllocation::mbs(1.0), UserAllocation::fbs(1.0));
+                            if soa.user_objective(j, &mbs) >= soa.user_objective(j, &fbs) {
+                                mbs
+                            } else {
+                                fbs
+                            }
+                        })
+                        .collect(),
+                ),
+            };
+            let polished = assert_polish_matches_reference(&solver, &p, &input);
+            match input_kind {
+                // The fill fast path (solve and the dual's recovery)
+                // takes the same walk.
+                0 => {
+                    let mut scratch = FillScratch::new();
+                    let value = p.objective(&input);
+                    let via_fill = solver.polish_fill(&soa, &mut scratch, &input, value);
+                    prop_assert_eq!(via_fill.unwrap_or(input), polished);
+                }
+                2 => prop_assert_eq!(polished, input),
+                _ => {}
+            }
+        }
+
+        /// Every delta-scored candidate — single flips and two-user
+        /// moves, committed or reverted — carries the exact bits of a
+        /// full refill scored by `SlotProblem::objective`.
+        #[test]
+        fn delta_candidates_score_bit_identically_to_full_refills(
+            p in arb_multi_fbs_problem(10),
+            bits in proptest::collection::vec(proptest::bool::ANY, 10),
+            commits in proptest::collection::vec(proptest::bool::ANY, 20),
+        ) {
+            let solver = WaterfillingSolver::new();
+            let soa = SoaProblem::from_problem(&p);
+            let mut scratch = FillScratch::new();
+            let n = p.num_users();
+            let start = solver.fill_given_modes(&p, &modes_from_bits(&bits[..n]));
+            let mut fill = DeltaFill::new(&solver, &soa, &mut scratch, start.users().to_vec());
+            for (step, commit) in commits.iter().enumerate() {
+                let (j, k) = (step % n, (step + 1) % n);
+                let movers = if step % 2 == 0 || j == k { vec![j] } else { vec![j, k] };
+                let value = fill.try_move(&movers);
+                let full = solver.fill_given_modes(&p, &fill.modes);
+                prop_assert_eq!(value.to_bits(), p.objective(&full).to_bits());
+                if *commit {
+                    fill.commit();
+                    prop_assert_eq!(&fill.allocs[..], full.users());
+                } else {
+                    fill.revert(&movers);
+                }
+            }
         }
     }
 

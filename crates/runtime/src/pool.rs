@@ -131,12 +131,22 @@ struct Shared {
 }
 
 impl Shared {
-    fn note_enqueued(&self) {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.queued += 1;
-        drop(st);
+    /// Counts a job about to be pushed. The count must lead the push:
+    /// once the job is in a shard a worker may pop it, and its
+    /// `note_dequeued` must find the count to undo. Counted after the
+    /// push, that decrement could saturate at 0 and the late increment
+    /// leave `queued` stuck at 1, so idle workers would never park.
+    fn reserve_enqueue(&self) {
+        self.state.lock().expect("pool state poisoned").queued += 1;
         self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        self.work_available.notify_one();
+    }
+
+    /// Undoes a [`Self::reserve_enqueue`] whose push bounced.
+    fn cancel_enqueue(&self) {
+        let mut st = self.state.lock().expect("pool state poisoned");
+        st.queued -= 1;
+        drop(st);
+        self.metrics.dec_queue_depth();
     }
 
     fn note_dequeued(&self) {
@@ -723,6 +733,7 @@ impl Runtime {
             .clamp(1, self.shared.shards.len());
         let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let mut task = task;
+        self.shared.reserve_enqueue();
         for offset in 0..n {
             let index = (start + offset) % n;
             match self.shared.shards[index].try_push(priority, task) {
@@ -731,7 +742,7 @@ impl Runtime {
                         .metrics
                         .jobs_submitted
                         .fetch_add(1, Ordering::Relaxed);
-                    self.shared.note_enqueued();
+                    self.shared.work_available.notify_one();
                     // A concurrent shrink may have retired this shard's
                     // owner between the `active` load above and the
                     // push. Re-check and kick *every* worker so a
@@ -745,6 +756,7 @@ impl Runtime {
                 Err(bounced) => task = bounced,
             }
         }
+        self.shared.cancel_enqueue();
         Err(task)
     }
 
@@ -999,6 +1011,26 @@ mod tests {
         let snap = rt.snapshot();
         assert_eq!(snap.jobs_failed, 4); // 0, 3, 6, 9
         assert_eq!(snap.jobs_completed, 7); // 6 survivors + the probe
+    }
+
+    #[test]
+    fn queued_count_reads_zero_after_many_tiny_jobs_are_joined() {
+        // Idle workers race the submitter to pop each tiny job. The
+        // count must lead the push: counted after it, a pop could
+        // saturate the decrement at 0 and the late increment would
+        // leave `queued` stuck at 1, so workers never parked again.
+        let rt = small(4, 64);
+        for round in 0..200u64 {
+            let handles: Vec<_> = (0..32u64)
+                .filter_map(|i| rt.try_spawn(move || round * 32 + i).ok())
+                .collect();
+            for handle in handles {
+                assert!(handle.join().is_ok());
+            }
+        }
+        let queued = rt.shared.state.lock().unwrap().queued;
+        assert_eq!(queued, 0);
+        assert_eq!(rt.snapshot().queue_depth, 0);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use fcr_stats::rng::SeedSequence;
 use rand::RngExt;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// What happens to one session at one slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -330,7 +331,7 @@ impl ChurnDriver {
             }
             service.step();
         }
-        service.quiesce(100_000);
+        service.quiesce(Duration::from_secs(60));
         report.completed = service.take_completed().len() as u64;
         report
     }

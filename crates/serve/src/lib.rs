@@ -38,6 +38,7 @@
 //! use fcr_sim::config::SimConfig;
 //! use fcr_sim::Scenario;
 //! use std::sync::Arc;
+//! use std::time::Duration;
 //!
 //! let cfg = SimConfig { gops: 2, deadline: 2, num_channels: 2, ..SimConfig::default() };
 //! let scenario = Arc::new(Scenario::single_fbs(&cfg));
@@ -46,7 +47,7 @@
 //!     fcr_serve::AdmitOutcome::Admitted(id) => id,
 //!     fcr_serve::AdmitOutcome::Rejected(reason) => panic!("rejected: {reason}"),
 //! };
-//! service.quiesce(10_000); // step the clock until the session completes
+//! service.quiesce(Duration::from_secs(60)); // run until the session completes
 //! let done = service.take_completed();
 //! assert_eq!(done[0].id, id);
 //! ```

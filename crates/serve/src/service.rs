@@ -646,22 +646,7 @@ impl Service {
             ..StepReport::default()
         };
 
-        // --- Collect finished jobs on draining (retired) sessions,
-        //     discarding results. ---
-        for session in &mut st.draining {
-            for run in &mut session.runs {
-                let inflight = std::mem::take(&mut run.inflight);
-                for (task, handle) in inflight {
-                    if handle.is_finished() {
-                        let _ = handle.join();
-                    } else {
-                        run.inflight.push((task, handle));
-                    }
-                }
-            }
-        }
-        st.draining
-            .retain(|s| s.runs.iter().any(|r| !r.inflight.is_empty()));
+        collect_draining(&mut st);
 
         // --- Collect, stitch, submit, and degrade active sessions. ---
         let mut shed_now: Vec<usize> = Vec::new();
@@ -857,23 +842,48 @@ impl Service {
         self.lock().completed_buf.drain(..).collect()
     }
 
-    /// Steps the clock until every admitted session has resolved and
-    /// all pool work has drained, up to `max_steps`.
+    /// Drives the service until every admitted session has resolved and
+    /// all pool work has drained.
+    ///
+    /// The slot clock is stepped only while sessions are active: their
+    /// windows come due on it. Once none is, the clock stops and the
+    /// retired or shed sessions' in-flight windows are awaited on the
+    /// pool, so a slow job delays quiescing instead of failing it, and
+    /// the wait adds no slots.
     ///
     /// # Panics
     ///
-    /// Panics when `max_steps` ticks pass without quiescing — a stuck
-    /// service must fail loudly, not hang.
-    pub fn quiesce(&self, max_steps: u64) {
-        for _ in 0..max_steps {
-            let report = self.step();
-            let draining = !self.lock().draining.is_empty();
-            if report.active == 0 && report.pending == 0 && !draining {
-                return;
+    /// Panics when `timeout` of wall-clock time passes without
+    /// quiescing — a stuck service must fail loudly, not hang.
+    pub fn quiesce(&self, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let active = {
+                let mut st = self.lock();
+                if st.active.is_empty() {
+                    collect_draining(&mut st);
+                    if st.draining.is_empty() {
+                        return;
+                    }
+                }
+                st.active.len()
+            };
+            if Instant::now() >= deadline {
+                let st = self.lock();
+                panic!(
+                    "service failed to quiesce within {timeout:?}: {} active, {} draining, {} jobs pending",
+                    st.active.len(),
+                    st.draining.len(),
+                    pending_jobs(&st),
+                );
             }
-            std::thread::yield_now();
+            if active > 0 {
+                self.step();
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(200));
+            }
         }
-        panic!("service failed to quiesce within {max_steps} steps");
     }
 
     /// A point-in-time copy of the service's counters and gauges.
@@ -965,6 +975,25 @@ fn release_budget(st: &mut State, demand_units: u64) {
         debug_assert_eq!(st.mbs_in_use_units, 0, "ledger must drain to zero");
         st.mbs_in_use_units = 0;
     }
+}
+
+/// Joins the finished jobs of retired or shed sessions (their results
+/// are discarded) and drops the sessions left with nothing in flight.
+fn collect_draining(st: &mut State) {
+    for session in &mut st.draining {
+        for run in &mut session.runs {
+            let inflight = std::mem::take(&mut run.inflight);
+            for (task, handle) in inflight {
+                if handle.is_finished() {
+                    let _ = handle.join();
+                } else {
+                    run.inflight.push((task, handle));
+                }
+            }
+        }
+    }
+    st.draining
+        .retain(|s| s.runs.iter().any(|r| !r.inflight.is_empty()));
 }
 
 fn pending_jobs(st: &State) -> u64 {

@@ -8,6 +8,7 @@ use fcr_serve::{AdmitOutcome, RejectReason, ServeConfig, Service, SessionSpec, A
 use fcr_sim::config::SimConfig;
 use fcr_sim::Scenario;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tiny_cfg() -> SimConfig {
     SimConfig {
@@ -120,13 +121,13 @@ fn retirement_frees_budget_for_readmission() {
     ));
 
     // ...and natural completion frees it too.
-    service.quiesce(10_000);
+    service.quiesce(Duration::from_secs(60));
     assert_eq!(service.snapshot().mbs_in_use, 0.0);
     assert!(matches!(
         service.admit(spec(&scenario, cfg, 3)),
         AdmitOutcome::Admitted(_)
     ));
-    service.quiesce(10_000);
+    service.quiesce(Duration::from_secs(60));
     let snap = service.snapshot();
     assert!(snap.accounting_holds(), "{snap:?}");
     assert_eq!(snap.admitted, 3);

@@ -112,7 +112,7 @@ fn stage_two_sheds_enhancement_and_the_session_completes_degraded() {
     // — degraded, loudly, with the base output intact and bit-identical
     // to the batch path.
     release.store(true, Ordering::Release);
-    service.quiesce(10_000);
+    service.quiesce(Duration::from_secs(60));
     let done = service.take_completed();
     assert_eq!(done.len(), 1);
     let session = &done[0];
@@ -195,7 +195,7 @@ fn stage_three_sheds_the_session_only_after_its_enhancement() {
     // shed session never reaches the completed buffer.
     release.store(true, Ordering::Release);
     let _ = filler.join();
-    service.quiesce(10_000);
+    service.quiesce(Duration::from_secs(60));
     assert!(service.take_completed().is_empty());
     let snap = service.snapshot();
     assert_eq!((snap.pending, snap.draining), (0, 0));

@@ -14,6 +14,7 @@ use fcr_scenario::{
 use fcr_serve::{HandoverKind, HandoverOutcome, ServeConfig, Service};
 use fcr_testkit::seeds::{case_seed, CI_SEED};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn base_seed() -> u64 {
     std::env::var("PROPTEST_SEED")
@@ -217,7 +218,7 @@ fn budget_units_swap_exactly_on_macro_handover() {
         "seed {seed}: round trip must restore the original ledger value"
     );
     service.retire(id);
-    service.quiesce(10_000);
+    service.quiesce(Duration::from_secs(60));
     assert_eq!(service.snapshot().mbs_in_use, 0.0, "seed {seed}");
 }
 
@@ -286,7 +287,7 @@ fn handed_over_outputs_stay_bit_identical_to_batch() {
         }
         service.step();
     }
-    service.quiesce(100_000);
+    service.quiesce(Duration::from_secs(60));
     let completed = service.take_completed();
     assert!(
         !completed.is_empty(),

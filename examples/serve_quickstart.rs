@@ -8,6 +8,7 @@
 
 use fcr::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn main() {
     // Tiny per-session simulations so the demo runs in milliseconds.
@@ -58,7 +59,7 @@ fn main() {
 
     // Drive the slot clock until every session resolves, then check
     // the books: admitted == completed + retired + shed, exactly.
-    service.quiesce(10_000);
+    service.quiesce(Duration::from_secs(60));
     let done = service.take_completed();
     let snap = service.snapshot();
     println!(
