@@ -100,6 +100,10 @@ impl Partition {
             users_of[u.fbs().0].push(j);
         }
 
+        // One O(N) adjacency-row scan per FBS, shared by the BFS and the
+        // per-cluster edge lists.
+        let neighbors: Vec<Vec<FbsId>> = (0..n).map(|i| graph.neighbors(FbsId(i))).collect();
+
         let mut component = vec![usize::MAX; n];
         let mut num_components = 0;
         let mut queue = Vec::new();
@@ -112,7 +116,7 @@ impl Partition {
             component[start] = id;
             queue.push(FbsId(start));
             while let Some(v) = queue.pop() {
-                for w in graph.neighbors(v) {
+                for &w in &neighbors[v.0] {
                     if component[w.0] == usize::MAX {
                         component[w.0] = id;
                         queue.push(w);
@@ -141,11 +145,17 @@ impl Partition {
             let local_of = |f: FbsId| -> FbsId {
                 FbsId(fbs_ids.binary_search(&f).expect("member of this cluster"))
             };
-            let local_edges: Vec<(FbsId, FbsId)> = graph
-                .edges()
-                .into_iter()
-                .filter(|(a, _)| component[a.0] == component[fbs_ids[0].0])
-                .map(|(a, b)| (local_of(a), local_of(b)))
+            // Members ascending, each with its larger neighbors ascending:
+            // the order `graph.edges()` would list this component's
+            // edges in, without its O(N²) scan per cluster.
+            let local_edges: Vec<(FbsId, FbsId)> = fbs_ids
+                .iter()
+                .flat_map(|&a| {
+                    neighbors[a.0]
+                        .iter()
+                        .filter(move |b| a < **b)
+                        .map(move |&b| (local_of(a), local_of(b)))
+                })
                 .collect();
             let local_graph = InterferenceGraph::new(fbs_ids.len(), &local_edges);
             let mut local_users = Vec::with_capacity(user_ids.len());
@@ -230,6 +240,7 @@ mod tests {
     use super::*;
     use crate::problem::UserState;
     use crate::waterfill::WaterfillingSolver;
+    use proptest::prelude::*;
 
     fn user(w: f64, fbs: usize) -> UserState {
         // Offload regime: the common channel is a weak fallback, so the
@@ -357,6 +368,148 @@ mod tests {
         let partition = Partition::of(&p);
         let result = std::panic::catch_unwind(|| partition.merge(&[]));
         assert!(result.is_err());
+    }
+
+    /// The construction the per-cluster edge gathering replaced, kept
+    /// as the equality reference: BFS over `graph.neighbors`, and each
+    /// cluster's edges filtered out of a full `graph.edges()` scan.
+    fn partition_reference(problem: &InterferingProblem) -> Partition {
+        let graph = problem.graph();
+        let n = graph.num_vertices();
+        let mut users_of = vec![Vec::new(); n];
+        for (j, u) in problem.users().iter().enumerate() {
+            users_of[u.fbs().0].push(j);
+        }
+        let mut component = vec![usize::MAX; n];
+        let mut num_components = 0;
+        let mut queue = Vec::new();
+        for start in 0..n {
+            if component[start] != usize::MAX {
+                continue;
+            }
+            let id = num_components;
+            num_components += 1;
+            component[start] = id;
+            queue.push(FbsId(start));
+            while let Some(v) = queue.pop() {
+                for w in graph.neighbors(v) {
+                    if component[w.0] == usize::MAX {
+                        component[w.0] = id;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+        let mut members = vec![Vec::new(); num_components];
+        for (i, c) in component.iter().enumerate() {
+            members[*c].push(FbsId(i));
+        }
+        let mut clusters = Vec::new();
+        let mut idle_fbss = Vec::new();
+        for fbs_ids in members {
+            let user_ids: Vec<usize> = fbs_ids
+                .iter()
+                .flat_map(|f| users_of[f.0].iter().copied())
+                .collect();
+            if user_ids.is_empty() {
+                idle_fbss.extend(fbs_ids);
+                continue;
+            }
+            let local_of = |f: FbsId| -> FbsId {
+                FbsId(fbs_ids.binary_search(&f).expect("member of this cluster"))
+            };
+            let local_edges: Vec<(FbsId, FbsId)> = graph
+                .edges()
+                .into_iter()
+                .filter(|(a, _)| component[a.0] == component[fbs_ids[0].0])
+                .map(|(a, b)| (local_of(a), local_of(b)))
+                .collect();
+            let local_graph = InterferenceGraph::new(fbs_ids.len(), &local_edges);
+            let local_users = user_ids
+                .iter()
+                .map(|&j| {
+                    let u = &problem.users()[j];
+                    u.with_fbs(local_of(u.fbs()))
+                })
+                .collect();
+            let local_problem = InterferingProblem::new(
+                local_users,
+                local_graph,
+                problem.channel_weights().to_vec(),
+            )
+            .unwrap();
+            clusters.push(ClusterProblem {
+                fbs_ids,
+                user_ids,
+                problem: local_problem,
+            });
+        }
+        Partition {
+            num_fbss: n,
+            num_channels: problem.num_channels(),
+            clusters,
+            idle_fbss,
+        }
+    }
+
+    #[test]
+    fn local_edges_match_the_reference_on_the_n1000_path_clusters() {
+        // The N = 1000 benchmark topology: 250 disjoint paths of 4 FBSs,
+        // 2 users per FBS.
+        let edges: Vec<(FbsId, FbsId)> = (0..999)
+            .filter(|i| i / 4 == (i + 1) / 4)
+            .map(|i| (FbsId(i), FbsId(i + 1)))
+            .collect();
+        let users = (0..2000)
+            .map(|j| user(20.0 + (j as f64 * 7.31) % 20.0, j / 2))
+            .collect();
+        let p = InterferingProblem::new(
+            users,
+            InterferenceGraph::new(1000, &edges),
+            vec![0.9, 0.8, 0.7, 0.6],
+        )
+        .unwrap();
+        let partition = Partition::of(&p);
+        assert_eq!(partition.clusters().len(), 250);
+        assert_eq!(partition, partition_reference(&p));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random sparse graphs the local edge gathering builds
+        /// exactly the reference partition. FBSs `0..n` carry the random
+        /// edges and users (user-less FBSs inside served components
+        /// included); FBS `n` is always a served singleton and FBS
+        /// `n + 1` a user-less one, which lands in `idle_fbss`.
+        #[test]
+        fn local_edges_match_the_reference_on_random_sparse_graphs(
+            n in 1usize..=40,
+            raw_edges in proptest::collection::vec((0usize..40, 0usize..40), 0..30),
+            raw_users in proptest::collection::vec(0usize..40, 0..30),
+        ) {
+            let edges: Vec<(FbsId, FbsId)> = raw_edges
+                .into_iter()
+                .map(|(a, b)| (a % n, b % n))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (FbsId(a), FbsId(b)))
+                .collect();
+            let mut users: Vec<UserState> = raw_users
+                .iter()
+                .enumerate()
+                .map(|(j, f)| user(20.0 + j as f64, f % n))
+                .collect();
+            users.push(user(19.0, n));
+            let p = InterferingProblem::new(
+                users,
+                InterferenceGraph::new(n + 2, &edges),
+                vec![0.9, 0.8],
+            )
+            .unwrap();
+            let partition = Partition::of(&p);
+            prop_assert!(partition.idle_fbss().contains(&FbsId(n + 1)));
+            prop_assert_eq!(partition, partition_reference(&p));
+        }
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl SoaProblem {
 }
 
 /// Reusable buffers for one budget-constraint fill: the gathered
-/// `(user, success, w, rate)` columns, the effectiveness mask, and the
-/// two share vectors the bisection ping-pongs between. One scratch
+/// `(user, success, w, rate)` columns, the effectiveness mask, the
+/// share vector and the bisection's active-member list. One scratch
 /// serves a whole solve; nothing inside the bisection loop allocates.
 #[derive(Debug, Default, Clone)]
 pub struct FillScratch {
@@ -159,6 +159,9 @@ pub struct FillScratch {
     pub effective: Vec<bool>,
     /// Share output buffer, aligned with `idx`.
     pub shares: Vec<f64>,
+    /// Positions (into `idx`) of the members the bisection still sums:
+    /// the effective ones whose share was nonzero at its last `lo`.
+    pub active: Vec<usize>,
 }
 
 impl FillScratch {
@@ -175,6 +178,7 @@ impl FillScratch {
         self.c.clear();
         self.effective.clear();
         self.shares.clear();
+        self.active.clear();
     }
 
     /// Appends one constraint member.

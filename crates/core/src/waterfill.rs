@@ -12,9 +12,11 @@
 //! `ρ_j(λ) = [s_j/λ − w_j/c_j]` clamped to `[0, 1]`, with the water
 //! level λ found by bisection on the monotone map `λ ↦ Σ_j ρ_j(λ)`.
 //! The solver alternates exact fills with Table-I-style mode
-//! best-responses at the implied prices, then polishes with
-//! single-user mode flips; every iterate is primal-feasible, and the
-//! best objective seen is returned.
+//! best-responses at the implied prices. It stops when a best response
+//! repeats a mode vector it has already filled, or after `max_rounds`
+//! fills. It then polishes with single-user mode flips and pairwise
+//! swaps. Every iterate is primal-feasible, and the best objective
+//! seen is returned.
 //!
 //! This is *not* the paper's distributed algorithm — that is
 //! [`crate::dual`] — but it computes the same optimum (the tests check
@@ -32,7 +34,9 @@ pub struct WaterfillingSolver {
     /// Maximum mode-reassignment rounds before falling back to the best
     /// solution seen.
     pub max_rounds: usize,
-    /// Bisection iterations per fill (60 reaches f64 precision).
+    /// Bisection iterations per fill (60 reaches f64 precision). A
+    /// bisection stops sooner once its midpoint rounds to an endpoint,
+    /// which changes nothing.
     pub bisection_iters: usize,
     /// When `num_users ≤ exhaustive_modes_up_to` (internally capped at
     /// 20), [`Self::solve`] skips the heuristic mode iteration and
@@ -96,55 +100,46 @@ impl WaterfillingSolver {
         // evaluations cheap).
         let soa = SoaProblem::from_problem(problem);
         let mut scratch = FillScratch::new();
-        // Myopic initial modes: compare each branch's solo value.
-        let mut modes: Vec<Mode> = problem
-            .users()
-            .iter()
-            .enumerate()
-            .map(|(j, u)| {
-                let v_mbs = lagrangian::branch_value(u.success_mbs(), 0.0, u.w(), u.r_mbs(), 1.0);
-                let v_fbs =
-                    lagrangian::branch_value(u.success_fbs(), 0.0, u.w(), problem.fbs_rate(j), 1.0);
-                if v_mbs > v_fbs {
-                    Mode::Mbs
-                } else {
-                    Mode::Fbs
-                }
-            })
-            .collect();
+        let (best, best_value, _) = self.iterate_modes(problem, &soa, &mut scratch);
+        self.polish_fill(&soa, &mut scratch, &best, best_value)
+            .unwrap_or(best)
+    }
 
-        let mut best = self.fill_soa(&soa, &modes, &mut scratch).0;
+    /// The mode iteration of [`Self::solve`]: fills the myopic modes,
+    /// then alternates Table-I best responses with exact fills, one
+    /// fill per round for at most `max_rounds` rounds (the myopic fill
+    /// is round 0 and always runs). Returns the best fill, its
+    /// objective, and every mode vector filled, in order.
+    ///
+    /// It stops at the first best response that repeats a filled
+    /// vector. A fill and the best response are pure functions of the
+    /// mode vector and `best` moves only on a strict `>`, so every later
+    /// round would re-score known values and change nothing.
+    fn iterate_modes(
+        &self,
+        problem: &SlotProblem,
+        soa: &SoaProblem,
+        scratch: &mut FillScratch,
+    ) -> (Allocation, f64, Vec<Vec<Mode>>) {
+        let modes = myopic_modes(problem);
+        let (mut best, mut lambdas) = self.fill_soa(soa, &modes, scratch);
         let mut best_value = problem.objective(&best);
-
-        for _ in 0..self.max_rounds {
-            let (alloc, lambdas) = self.fill_soa(&soa, &modes, &mut scratch);
+        let mut seen = vec![modes];
+        for _ in 1..self.max_rounds {
+            let modes = best_response(problem, &lambdas);
+            if seen.contains(&modes) {
+                break;
+            }
+            let (alloc, prices) = self.fill_soa(soa, &modes, scratch);
             let value = problem.objective(&alloc);
             if value > best_value {
                 best_value = value;
                 best = alloc;
             }
-            // Best-response modes at the implied prices (Table I step 4).
-            let new_modes: Vec<Mode> = problem
-                .users()
-                .iter()
-                .map(|u| {
-                    let sol = lagrangian::solve_user(
-                        u,
-                        problem.g(u.fbs()),
-                        lambdas[0],
-                        lambdas[1 + u.fbs().0],
-                    );
-                    sol.allocation.mode
-                })
-                .collect();
-            if new_modes == modes {
-                break;
-            }
-            modes = new_modes;
+            lambdas = prices;
+            seen.push(modes);
         }
-
-        self.polish_fill(&soa, &mut scratch, &best, best_value)
-            .unwrap_or(best)
+        (best, best_value, seen)
     }
 
     /// Global optimum by enumeration: every `2^n` binary mode vector of
@@ -349,6 +344,20 @@ impl WaterfillingSolver {
 
     /// Solves one budget over the members gathered in `scratch`:
     /// returns λ and leaves the shares (`Σ ≤ 1`) in `scratch.shares`.
+    ///
+    /// Bit-identical to a plain `bisection_iters`-step bisection that
+    /// sums every member at every midpoint, through two cuts:
+    ///
+    /// - *Zero-share pruning.* The computed share
+    ///   `clamp(s/λ − w/c, 0, 1)` never increases with λ (correctly
+    ///   rounded division, subtraction and clamp are all monotone), and
+    ///   `lo` only rises, so a member whose share is `0.0` at `lo` is
+    ///   `0.0` at every later midpoint. Such members leave
+    ///   `scratch.active`; the in-order sum of the rest is the same
+    ///   (`x + 0.0 = x`, and the `> 1.0` test ignores the sign of zero).
+    /// - *Fixed-point exit.* `Σ(lo) > 1` and `Σ(hi) ≤ 1` hold throughout,
+    ///   so once the midpoint rounds to `lo` or `hi` no remaining step
+    ///   can move `hi`, the returned level.
     fn fill_constraint(&self, scratch: &mut FillScratch) -> f64 {
         // Users that cannot benefit (zero rate or success) always get 0
         // — the `effective` mask was computed at push time.
@@ -386,11 +395,31 @@ impl WaterfillingSolver {
         // the budget binds and bisection is well-posed.
         let mut lo = 0.0;
         let mut hi = lambda_hi;
+        scratch.active.clear();
+        scratch
+            .active
+            .extend((0..scratch.len()).filter(|&k| scratch.effective[k]));
         for _ in 0..self.bisection_iters {
             let mid = 0.5 * (lo + hi);
-            shares_into(scratch, mid);
+            if mid == lo || mid == hi {
+                break;
+            }
+            // `shares` is aligned with `active` until the final fill.
+            scratch.shares.clear();
+            for &k in &scratch.active {
+                scratch.shares.push(lagrangian::best_share(
+                    scratch.s[k],
+                    mid,
+                    scratch.w[k],
+                    scratch.c[k],
+                ));
+            }
             if scratch.shares.iter().sum::<f64>() > 1.0 {
                 lo = mid;
+                let mut shares = scratch.shares.iter();
+                scratch
+                    .active
+                    .retain(|_| *shares.next().expect("aligned") != 0.0);
             } else {
                 hi = mid;
             }
@@ -399,6 +428,39 @@ impl WaterfillingSolver {
         shares_into(scratch, hi);
         hi
     }
+}
+
+/// Myopic initial modes: each user's better branch when it has the
+/// whole slot for free.
+fn myopic_modes(problem: &SlotProblem) -> Vec<Mode> {
+    problem
+        .users()
+        .iter()
+        .enumerate()
+        .map(|(j, u)| {
+            let v_mbs = lagrangian::branch_value(u.success_mbs(), 0.0, u.w(), u.r_mbs(), 1.0);
+            let v_fbs =
+                lagrangian::branch_value(u.success_fbs(), 0.0, u.w(), problem.fbs_rate(j), 1.0);
+            if v_mbs > v_fbs {
+                Mode::Mbs
+            } else {
+                Mode::Fbs
+            }
+        })
+        .collect()
+}
+
+/// Best-response modes at the water levels `lambdas` (Table I step 4).
+fn best_response(problem: &SlotProblem, lambdas: &[f64]) -> Vec<Mode> {
+    problem
+        .users()
+        .iter()
+        .map(|u| {
+            let sol =
+                lagrangian::solve_user(u, problem.g(u.fbs()), lambdas[0], lambdas[1 + u.fbs().0]);
+            sol.allocation.mode
+        })
+        .collect()
 }
 
 /// A member's allocation in budget `budget` (0 = MBS, else an FBS).
@@ -461,8 +523,10 @@ impl<'a> DeltaFill<'a> {
     }
 
     /// Flips the modes of `movers`, refills the budgets that changes,
-    /// and returns the objective of the result. Must be followed by
-    /// [`Self::commit`] or [`Self::revert`].
+    /// and returns the objective of the result. A refilled member whose
+    /// allocation keeps its exact bits keeps its term and is not
+    /// re-scored. Must be followed by [`Self::commit`] or
+    /// [`Self::revert`].
     fn try_move(&mut self, movers: &[usize]) -> f64 {
         self.budgets.clear();
         self.budgets.push(0);
@@ -479,6 +543,10 @@ impl<'a> DeltaFill<'a> {
                 .fill_budget(self.soa, &self.modes, budget, self.scratch);
             for (k, &j) in self.scratch.idx.iter().enumerate() {
                 let a = member_allocation(budget, self.scratch.shares[k]);
+                if same_bits(&a, &self.allocs[j]) {
+                    // The term is a pure function of the allocation.
+                    continue;
+                }
                 let term = std::mem::replace(&mut self.terms[j], self.soa.user_objective(j, &a));
                 self.changed.push((j, a, term));
             }
@@ -503,6 +571,14 @@ impl<'a> DeltaFill<'a> {
             self.modes[j] = flip(self.modes[j]);
         }
     }
+}
+
+/// `true` when `a` and `b` are the same allocation down to the bits of
+/// both shares.
+fn same_bits(a: &UserAllocation, b: &UserAllocation) -> bool {
+    a.mode == b.mode
+        && a.rho_mbs.to_bits() == b.rho_mbs.to_bits()
+        && a.rho_fbs.to_bits() == b.rho_fbs.to_bits()
 }
 
 fn flip(mode: Mode) -> Mode {
@@ -764,6 +840,287 @@ mod tests {
         best
     }
 
+    /// The mode iteration the cycle exit replaced, kept as the
+    /// bit-identity reference: `max_rounds` rounds that each refill
+    /// their mode vector (round 0 refills the myopic one), stopping
+    /// early only on a fixed point. Returns the best fill, its objective
+    /// and the number of rounds run.
+    fn iterate_modes_reference(
+        solver: &WaterfillingSolver,
+        problem: &SlotProblem,
+    ) -> (Allocation, f64, usize) {
+        let soa = SoaProblem::from_problem(problem);
+        let mut scratch = FillScratch::new();
+        let mut modes = myopic_modes(problem);
+        let mut best = solver.fill_soa(&soa, &modes, &mut scratch).0;
+        let mut best_value = problem.objective(&best);
+        let mut rounds = 0;
+        for _ in 0..solver.max_rounds {
+            rounds += 1;
+            let (alloc, lambdas) = solver.fill_soa(&soa, &modes, &mut scratch);
+            let value = problem.objective(&alloc);
+            if value > best_value {
+                best_value = value;
+                best = alloc;
+            }
+            let new_modes = best_response(problem, &lambdas);
+            if new_modes == modes {
+                break;
+            }
+            modes = new_modes;
+        }
+        (best, best_value, rounds)
+    }
+
+    /// [`WaterfillingSolver::solve`] over the reference mode iteration.
+    fn solve_reference(solver: &WaterfillingSolver, problem: &SlotProblem) -> Allocation {
+        let (best, best_value, _) = iterate_modes_reference(solver, problem);
+        let soa = SoaProblem::from_problem(problem);
+        let mut scratch = FillScratch::new();
+        solver
+            .polish_fill(&soa, &mut scratch, &best, best_value)
+            .unwrap_or(best)
+    }
+
+    /// Asserts the cycle-exit iteration and solve match the reference
+    /// bit for bit; returns the vectors the new loop filled and the
+    /// reference's round count.
+    fn assert_solve_matches_reference(
+        solver: &WaterfillingSolver,
+        p: &SlotProblem,
+    ) -> (Vec<Vec<Mode>>, usize) {
+        let soa = SoaProblem::from_problem(p);
+        let (best, value, seen) = solver.iterate_modes(p, &soa, &mut FillScratch::new());
+        let (ref_best, ref_value, rounds) = iterate_modes_reference(solver, p);
+        assert_eq!(best, ref_best);
+        assert_eq!(value.to_bits(), ref_value.to_bits());
+        assert!(seen.len() <= rounds.max(1));
+        let solved = solver.solve(p);
+        let reference = solve_reference(solver, p);
+        assert_eq!(solved, reference);
+        assert_eq!(
+            p.objective(&solved).to_bits(),
+            p.objective(&reference).to_bits()
+        );
+        (seen, rounds)
+    }
+
+    #[test]
+    fn cycle_exit_stops_early_where_the_reference_exhausts_its_rounds() {
+        // Cluster 0 of the N = 1000 generator at seed 101 (4 FBSs on a
+        // path, 2 users each) with channels 0 and 1 on FBSs 0 and 2: the
+        // best response enters a 3-cycle, which the old `new == modes`
+        // test never sees, so the reference runs all 16 rounds.
+        let g = 1.4621445862852256;
+        let users = vec![
+            UserState::new(
+                29.37221275163061,
+                FbsId(0),
+                0.72,
+                0.72,
+                0.10263463404652333,
+                0.9451163373350566,
+            ),
+            UserState::new(
+                26.46960969145926,
+                FbsId(0),
+                0.72,
+                0.72,
+                0.30519001269600315,
+                0.8068806173874076,
+            ),
+            UserState::new(
+                31.24374237937473,
+                FbsId(1),
+                0.72,
+                0.72,
+                0.21820288885403086,
+                0.8051229982259389,
+            ),
+            UserState::new(
+                32.75505169666919,
+                FbsId(1),
+                0.72,
+                0.72,
+                0.23818153055004157,
+                0.7627852457240083,
+            ),
+            UserState::new(
+                23.394818769496347,
+                FbsId(2),
+                0.72,
+                0.72,
+                0.16631789387709112,
+                0.832921765330034,
+            ),
+            UserState::new(
+                31.44549338034495,
+                FbsId(2),
+                0.72,
+                0.72,
+                0.3376078642569311,
+                0.8555891703710867,
+            ),
+            UserState::new(
+                23.546419915730343,
+                FbsId(3),
+                0.72,
+                0.72,
+                0.24028554509383154,
+                0.9339404838361169,
+            ),
+            UserState::new(
+                22.280791546232546,
+                FbsId(3),
+                0.72,
+                0.72,
+                0.2890412269114029,
+                0.7274573971888896,
+            ),
+        ]
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
+        let p = SlotProblem::new(users, vec![g, 0.0, g, 0.0]).unwrap();
+        let solver = WaterfillingSolver::new();
+        let (seen, rounds) = assert_solve_matches_reference(&solver, &p);
+        assert_eq!(rounds, solver.max_rounds, "reference exhausts its rounds");
+        assert_eq!(seen.len(), 3, "cycle exit fills the 3-cycle once");
+    }
+
+    /// The bisection the zero-share pruning and fixed-point exit
+    /// replaced, kept as the bit-identity reference: every member is
+    /// summed at every one of the `iters` midpoints.
+    fn fill_constraint_reference(iters: usize, scratch: &mut FillScratch) -> f64 {
+        fn shares_into(scratch: &mut FillScratch, lambda: f64) {
+            scratch.shares.clear();
+            for k in 0..scratch.idx.len() {
+                scratch.shares.push(if !scratch.effective[k] {
+                    0.0
+                } else {
+                    lagrangian::best_share(scratch.s[k], lambda, scratch.w[k], scratch.c[k])
+                });
+            }
+        }
+        let n_eff = scratch.effective.iter().filter(|e| **e).count();
+        if n_eff == 0 {
+            scratch.shares.clear();
+            scratch.shares.resize(scratch.len(), 0.0);
+            return 0.0;
+        }
+        if n_eff == 1 {
+            shares_into(scratch, 0.0);
+            return 0.0;
+        }
+        let mut lambda_hi = f64::MIN_POSITIVE;
+        for k in 0..scratch.len() {
+            if scratch.effective[k] {
+                lambda_hi = lambda_hi.max(scratch.s[k] * scratch.c[k] / scratch.w[k]);
+            }
+        }
+        let lambda_hi = lambda_hi * (1.0 + 1e-9);
+        let mut lo = 0.0;
+        let mut hi = lambda_hi;
+        for _ in 0..iters {
+            let mid = 0.5 * (lo + hi);
+            shares_into(scratch, mid);
+            if scratch.shares.iter().sum::<f64>() > 1.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        shares_into(scratch, hi);
+        hi
+    }
+
+    /// Fills `(s, w, c)` members both ways and compares λ and every
+    /// share bit for bit.
+    fn assert_fill_matches_reference(iters: usize, members: &[(f64, f64, f64)]) {
+        let solver = WaterfillingSolver {
+            bisection_iters: iters,
+            ..WaterfillingSolver::new()
+        };
+        let mut pruned = FillScratch::new();
+        let mut plain = FillScratch::new();
+        for (j, &(s, w, c)) in members.iter().enumerate() {
+            pruned.push(j, s, w, c);
+            plain.push(j, s, w, c);
+        }
+        let lambda = solver.fill_constraint(&mut pruned);
+        let reference = fill_constraint_reference(iters, &mut plain);
+        assert_eq!(lambda.to_bits(), reference.to_bits(), "λ over {members:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&pruned.shares),
+            bits(&plain.shares),
+            "shares over {members:?}"
+        );
+    }
+
+    #[test]
+    fn pruned_bisection_matches_the_plain_one_on_edge_cases() {
+        let a = (0.9, 30.0, 0.72);
+        let b = (0.2, 25.0, 2.1);
+        let zero_rate = (0.8, 28.0, 0.0);
+        let zero_success = (0.0, 28.0, 0.72);
+        for members in [
+            // n_eff = 0, including a `G = 0` FBS budget (every rate 0).
+            vec![],
+            vec![zero_rate, zero_success],
+            vec![(0.9, 30.0, 0.0), (0.8, 25.0, 0.0), (0.7, 22.0, 0.0)],
+            // n_eff = 1.
+            vec![a],
+            vec![zero_rate, a, zero_success],
+            // n_eff = 2.
+            vec![a, b],
+            vec![zero_success, a, zero_rate, b],
+            // Identical members, and one member that dominates the rest.
+            vec![a; 7],
+            vec![
+                (1.0, 5.0, 6.0),
+                (0.1, 40.0, 0.1),
+                (0.1, 39.0, 0.1),
+                zero_rate,
+            ],
+        ] {
+            for iters in [0, 1, 2, 30, 60, 200] {
+                assert_fill_matches_reference(iters, &members);
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_bisection_matches_the_plain_one_on_an_n1000_sized_mbs_group() {
+        // ~230 MBS members drawn like the N = 1000 generator's users
+        // (w in 20..40, MBS success in 0.10..0.40, rate 0.72): only a few
+        // keep a nonzero share, so most of them are pruned early.
+        let members: Vec<(f64, f64, f64)> = (0..230)
+            .map(|j| {
+                let x = j as f64;
+                (
+                    0.10 + (x * 0.618_034) % 0.30,
+                    20.0 + (x * 7.31) % 20.0,
+                    0.72,
+                )
+            })
+            .collect();
+        assert_fill_matches_reference(60, &members);
+        let mut scratch = FillScratch::new();
+        for (j, &(s, w, c)) in members.iter().enumerate() {
+            scratch.push(j, s, w, c);
+        }
+        WaterfillingSolver::new().fill_constraint(&mut scratch);
+        let positive = scratch.shares.iter().filter(|x| **x > 0.0).count();
+        assert!(positive < 20, "{positive} members hold a share");
+    }
+
+    #[test]
+    fn cycle_exit_solve_matches_the_reference_at_scale() {
+        let p = scale_problem();
+        assert_solve_matches_reference(&WaterfillingSolver::new(), &p);
+    }
+
     fn modes_from_bits(bits: &[bool]) -> Vec<Mode> {
         bits.iter()
             .map(|b| if *b { Mode::Fbs } else { Mode::Mbs })
@@ -826,11 +1183,9 @@ mod tests {
         delta
     }
 
-    #[test]
-    fn delta_polish_matches_the_reference_at_scale_with_many_accepted_flips() {
-        // 200 users over 25 FBSs (every fifth with G = 0), started from
-        // the solved modes with every 7th flipped: the delta path must
-        // walk the reference's accept/reject sequence exactly.
+    /// 200 users over 25 FBSs, every fifth with `G = 0`: large budget
+    /// groups, many zero shares, and long mode iterations.
+    fn scale_problem() -> SlotProblem {
         let users: Vec<UserState> = (0..200)
             .map(|j| {
                 let x = j as f64;
@@ -854,7 +1209,54 @@ mod tests {
                 }
             })
             .collect();
-        let p = SlotProblem::new(users, g).unwrap();
+        SlotProblem::new(users, g).unwrap()
+    }
+
+    #[test]
+    fn every_flip_candidate_at_scale_scores_like_a_full_refill() {
+        // In large groups a flip moves the water level only slightly, so
+        // most members keep their allocation bit for bit and a few shift
+        // by tiny amounts: every score must still equal a full refill's.
+        let p = scale_problem();
+        let solver = WaterfillingSolver::new();
+        let soa = SoaProblem::from_problem(&p);
+        let mut scratch = FillScratch::new();
+        let start = solver.solve(&p);
+        let mut fill = DeltaFill::new(&solver, &soa, &mut scratch, start.users().to_vec());
+        for j in 0..p.num_users() {
+            let value = fill.try_move(&[j]);
+            let full = solver.fill_given_modes(&p, &fill.modes);
+            assert_eq!(value.to_bits(), p.objective(&full).to_bits(), "flip {j}");
+            fill.revert(&[j]);
+        }
+    }
+
+    #[test]
+    fn a_flip_that_nudges_shares_rescores_every_nudged_member() {
+        // Ten like MBS members near 0.1 each and one at ~0.001: moving
+        // the small one to its worthless FBS (G = 0) shifts the other
+        // ten shares by ~1e-4, each of which must be re-scored.
+        let mut users = vec![UserState::new(20.0, FbsId(0), 1.0, 1.0, 0.5, 0.5).unwrap(); 10];
+        users.push(UserState::new(20.0989, FbsId(0), 1.0, 1.0, 0.5, 0.5).unwrap());
+        let p = SlotProblem::new(users, vec![0.0]).unwrap();
+        let solver = WaterfillingSolver::new();
+        let soa = SoaProblem::from_problem(&p);
+        let mut scratch = FillScratch::new();
+        let start = solver.fill_given_modes(&p, &[Mode::Mbs; 11]);
+        let mut fill = DeltaFill::new(&solver, &soa, &mut scratch, start.users().to_vec());
+        let value = fill.try_move(&[10]);
+        let full = solver.fill_given_modes(&p, &fill.modes);
+        assert_eq!(value.to_bits(), p.objective(&full).to_bits());
+        let nudge = full.user(0).rho_mbs - start.user(0).rho_mbs;
+        assert!(nudge > 0.0 && nudge < 1e-3, "nudge {nudge}");
+    }
+
+    #[test]
+    fn delta_polish_matches_the_reference_at_scale_with_many_accepted_flips() {
+        // The scale instance started from the solved modes with every
+        // 7th flipped: the delta path must walk the reference's
+        // accept/reject sequence exactly.
+        let p = scale_problem();
         let solver = WaterfillingSolver::new();
         let mut modes: Vec<Mode> = solver.solve(&p).users().iter().map(|u| u.mode).collect();
         for j in (0..modes.len()).step_by(7) {
@@ -955,6 +1357,39 @@ mod tests {
                     fill.revert(&movers);
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Cycle-exit solve ≡ the full-round loop, bit for bit, for every
+        /// round budget from none to the default.
+        #[test]
+        fn cycle_exit_solve_is_bit_identical_to_the_full_round_loop(
+            p in arb_multi_fbs_problem(12),
+            max_rounds in 0usize..=16,
+        ) {
+            let solver = WaterfillingSolver { max_rounds, ..WaterfillingSolver::new() };
+            assert_solve_matches_reference(&solver, &p);
+        }
+
+        /// Pruned, early-exiting bisection ≡ the plain one: λ and every
+        /// share bit for bit, members with zero rate or success included.
+        #[test]
+        fn pruned_bisection_is_bit_identical_to_the_plain_one(
+            members in proptest::collection::vec(
+                ((0u8..5, 0.01..=1.0f64), 5.0..50.0f64, (0u8..5, 0.05..8.0f64)),
+                0..40,
+            ),
+            iters in 0usize..=80,
+        ) {
+            let value = |(k, x): (u8, f64)| if k == 0 { 0.0 } else { x };
+            let members: Vec<(f64, f64, f64)> = members
+                .into_iter()
+                .map(|(s, w, c)| (value(s), w, value(c)))
+                .collect();
+            assert_fill_matches_reference(iters, &members);
         }
     }
 

@@ -102,7 +102,8 @@ impl InterferenceGraph {
     }
 
     /// All undirected edges, each reported once with the smaller id
-    /// first.
+    /// first, in lexicographic order. Scans the whole adjacency matrix:
+    /// `O(N²)` however few edges there are.
     pub fn edges(&self) -> Vec<(FbsId, FbsId)> {
         let mut out = Vec::new();
         for i in 0..self.n {
