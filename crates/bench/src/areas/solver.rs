@@ -2,7 +2,9 @@
 //!
 //! Kernels are timed in a tight loop on the canonical fixtures
 //! (`single_fbs_problem` for water-filling and the dual loop,
-//! `fig5_problem` for greedy channel assignment); the fig-3/4a/6a
+//! `fig5_problem` for greedy channel assignment), next to the
+//! spectrum kernels every slot runs (Markov step, eight-observation
+//! Bayesian fusion, eq.-(7) access probability); the fig-3/4a/6a
 //! pipelines run through `fcr-experiments` on the shared simulation
 //! pool, with throughput read as the `slots_simulated` counter delta.
 //! Solver iteration statistics (the paper's Tables I/II quantities)
@@ -15,10 +17,19 @@ use fcr_core::greedy::GreedyAllocator;
 use fcr_core::waterfill::WaterfillingSolver;
 use fcr_experiments::ExperimentOpts;
 use fcr_sim::massive::{generate_problem, perturb_problem, MassiveConfig, MassiveDriver};
+use fcr_spectrum::access::AccessPolicy;
+use fcr_spectrum::fusion::AvailabilityPosterior;
+use fcr_spectrum::markov::TwoStateMarkov;
+use fcr_spectrum::sensing::{Observation, SensorProfile};
+use fcr_stats::rng::SeedSequence;
 use fcr_telemetry::{peak_rss_kb, BenchEnvelope};
 use std::time::{Duration, Instant};
 
 use super::Scale;
+
+/// Iterations of each spectrum kernel (Markov step, eight-observation
+/// fusion, access decision) per kernel rep.
+const SPECTRUM_BATCH: u64 = 1_000;
 
 /// Workload knobs for the `solver` area.
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +115,41 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
         std::hint::black_box(greedy.allocate(std::hint::black_box(&interfering)));
     }
     let greedy_secs = t.elapsed().as_secs_f64();
+
+    // Spectrum kernels: nanoseconds each, so every rep runs a batch.
+    let spectrum_reps = params.kernel_reps * SPECTRUM_BATCH;
+    let chain = TwoStateMarkov::new(0.4, 0.3).expect("valid chain");
+    let mut rng = SeedSequence::new(params.seed).stream("bench", 0);
+    let mut state = chain.sample_stationary(&mut rng);
+    let t = Instant::now();
+    for _ in 0..spectrum_reps {
+        state = chain.step(state, &mut rng);
+        std::hint::black_box(state);
+    }
+    let markov_secs = t.elapsed().as_secs_f64();
+
+    let sensor = SensorProfile::new(0.3, 0.3).expect("valid sensor");
+    let t = Instant::now();
+    for _ in 0..spectrum_reps {
+        let mut posterior = AvailabilityPosterior::new(0.571).expect("valid prior");
+        for i in 0..8 {
+            let obs = if i % 3 == 0 {
+                Observation::Busy
+            } else {
+                Observation::Idle
+            };
+            posterior.update(&sensor, std::hint::black_box(obs));
+        }
+        std::hint::black_box(posterior.probability());
+    }
+    let fusion_secs = t.elapsed().as_secs_f64();
+
+    let access = AccessPolicy::new(0.2).expect("valid gamma");
+    let t = Instant::now();
+    for _ in 0..spectrum_reps {
+        std::hint::black_box(access.access_probability(std::hint::black_box(0.63)));
+    }
+    let access_secs = t.elapsed().as_secs_f64();
 
     // --- Massive-N slot driver: partitioned parallel greedy plus the
     // warm-started global dual (DESIGN §15). Slot 0 is the cold
@@ -204,6 +250,15 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
             "greedy_allocs_per_sec",
             rate(params.kernel_reps, greedy_secs),
         )
+        .metric("markov_steps_per_sec", rate(spectrum_reps, markov_secs))
+        .metric(
+            "fusion_updates_x8_per_sec",
+            rate(spectrum_reps, fusion_secs),
+        )
+        .metric(
+            "access_probabilities_per_sec",
+            rate(spectrum_reps, access_secs),
+        )
         .metric("pipeline_seconds", pipeline_secs)
         .metric("pipeline_slots", pipeline_slots)
         .metric(
@@ -260,6 +315,9 @@ mod tests {
         assert!(env.metric_value("waterfill_solves_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("dual_solves_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("greedy_allocs_per_sec").unwrap() > 0.0);
+        assert!(env.metric_value("markov_steps_per_sec").unwrap() > 0.0);
+        assert!(env.metric_value("fusion_updates_x8_per_sec").unwrap() > 0.0);
+        assert!(env.metric_value("access_probabilities_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("pipeline_slots").unwrap() > 0.0);
         // The dual kernel ran kernel_reps times with telemetry enabled,
         // so the SolveRecord channel saw at least that many records.

@@ -23,7 +23,7 @@
 //! or a bound breach — each rendering as a diff-style line naming the
 //! metric, the budget, and the measured value.
 
-use crate::json::Json;
+use fcr_telemetry::json::Json;
 use fcr_telemetry::{BenchEnvelope, BENCH_SCHEMA_VERSION};
 
 /// One metric bound: `min`/`max` are inclusive; either may be absent.

@@ -1,14 +1,12 @@
-//! JSON reading for the benchmark subsystem.
+//! Envelope decoding for the benchmark subsystem.
 //!
 //! The recursive-descent [`Json`] reader itself lives in
 //! [`fcr_telemetry::json`] (it is shared with `fcr-scenario`'s pack
-//! parser); this module re-exports it and adds the envelope-specific
-//! decoding: the `fcr-bench check` gate and the schema round-trip
-//! tests parse `BENCH_<area>.json` and `bench/budgets.json` through
-//! [`parse_envelope`].
+//! parser); this module adds the envelope-specific decoding: the
+//! `fcr-bench check` gate and the schema round-trip tests parse
+//! `BENCH_<area>.json` through [`parse_envelope`].
 
-pub use fcr_telemetry::json::Json;
-
+use fcr_telemetry::json::Json;
 use fcr_telemetry::{BenchEnvelope, BenchValue};
 
 /// Parses a rendered `BENCH_<area>.json` document back into a

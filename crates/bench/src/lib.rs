@@ -1,6 +1,6 @@
 //! `fcr-bench` — the benchmark subsystem: the standing `fcr-bench`
 //! runner, the shared `BENCH_<area>.json` artifact machinery, the
-//! perf-budget gate, plus shared fixtures for the Criterion benches.
+//! perf-budget gate, and the canonical solver fixtures its areas time.
 //!
 //! # The standing harness
 //!
@@ -11,22 +11,7 @@
 //! ([`budgets`], `bench/budgets.json`) and exits nonzero on any
 //! regression — the CI `bench-smoke` job is exactly `run --all
 //! --scale smoke` followed by `check`. Artifacts are parsed back with
-//! the std-only reader in [`json`] (the container is offline; no
-//! serde).
-//!
-//! # Criterion benches
-//!
-//! The human-facing micro benches live in `benches/`:
-//!
-//! * `figures` — times the full pipeline behind each paper figure at a
-//!   reduced scale (the full-scale tables are printed by the
-//!   `experiments` binary);
-//! * `micro` — hot inner kernels: Markov stepping, Bayesian fusion,
-//!   access decisions, water-filling, the dual loop, greedy/exhaustive
-//!   channel allocation;
-//! * `ablation` — the design-choice comparisons DESIGN.md calls out:
-//!   dual vs. water-filling inner solver, fused vs. first-observation
-//!   posterior, greedy vs. round-robin vs. exhaustive channel split.
+//! the std-only reader in [`json`] (the build is offline; no serde).
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +21,7 @@ pub mod json;
 
 pub use areas::{run_area, Scale, ALL_AREAS};
 pub use budgets::{check, Budget, BudgetFile, Violation};
-pub use json::{parse_envelope, Json};
+pub use json::parse_envelope;
 
 use fcr_core::interfering::InterferingProblem;
 use fcr_core::problem::{SlotProblem, UserState};

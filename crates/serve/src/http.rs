@@ -79,12 +79,19 @@ impl Drop for MetricsServer {
     }
 }
 
+/// How long one blocked write of a response may wait for the client to
+/// drain its socket before the connection is abandoned.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Answers one connection: read the request line best-effort, pick the
 /// body format from it (`format=prom` → Prometheus text exposition,
 /// anything else → JSONL), then write the response. All I/O errors are
-/// ignored — a dropped scrape must not disturb the service.
+/// ignored — a dropped scrape must not disturb the service. Both
+/// directions time out, so a client that never sends or never reads
+/// cannot stall later scrapes or [`MetricsServer::shutdown`].
 fn serve_one(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut buf = [0u8; 1024];
     let n = stream.read(&mut buf).unwrap_or(0);
     let request = String::from_utf8_lossy(&buf[..n]);

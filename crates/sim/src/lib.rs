@@ -27,10 +27,11 @@
 //! slot loop, with optional per-slot [`trace`]s),
 //! [`packet_engine`] (the NAL-unit-granular validation mode),
 //! [`metrics`] (per-run results), [`report`] (table rendering),
-//! [`pool`] (typed simulation jobs on the process-wide
-//! [`fcr_runtime`] worker pool), and [`session`] (the builder-style
-//! [`session::SimSession`] entry point that shards each run into
-//! GOP-aligned slot windows on the elastic pool and can tag a whole
+//! [`pool`] (the process-wide [`fcr_runtime`] worker pool and its
+//! domain counters), [`stream`] (one run as GOP-aligned window tasks,
+//! the pool executor of the fluid engine), and [`session`] (the
+//! builder-style [`session::SimSession`] entry point that shards each
+//! run into those windows on the elastic pool and can tag a whole
 //! session with a scheduling [`fcr_runtime::Priority`]).
 //!
 //! # Examples
@@ -76,7 +77,6 @@ pub use config::SimConfig;
 pub use engine::{run, RunOutput, TraceMode};
 pub use metrics::RunResult;
 pub use packet_engine::{run_packet_level, PacketRunResult};
-pub use pool::SimJob;
 pub use scenario::{Scenario, UserSpec};
 pub use scheme::Scheme;
 pub use session::{PacketSessionResult, SessionResult, SimSession};

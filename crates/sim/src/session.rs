@@ -26,11 +26,14 @@
 //! [`ShardPolicy`] ([`SimSession::shards`], falling back to
 //! [`SimConfig::shard`]) and schedules each window as one job on the
 //! process-wide worker pool — so even a *single* long run parallelizes
-//! across workers. The RNG handoff is deterministic (run-level
-//! spectrum streams + per-`(run, gop)` fading/loss substreams, see
-//! `fcr_spectrum::streams`), which makes sharded output **bit-identical
-//! to serial** for every policy; `tests/determinism.rs` pins this for
-//! both the fluid and the packet engine.
+//! across workers. Fluid runs execute as [`RunStream`] window tasks,
+//! the same executor `fcr-serve` schedules live sessions through, so
+//! batch and served runs agree by construction. The RNG handoff is
+//! deterministic (run-level spectrum streams + per-`(run, gop)`
+//! fading/loss substreams, see `fcr_spectrum::streams`), which makes
+//! sharded output **bit-identical to serial** for every policy;
+//! `tests/determinism.rs` pins this for both the fluid and the packet
+//! engine.
 //!
 //! Before each batch the session lets the elastic pool take one
 //! manual autoscale step within its configured bounds (queue-depth and
@@ -50,18 +53,18 @@
 //! execution order (`tests/determinism.rs` pins this).
 
 use crate::config::SimConfig;
-use crate::engine::{self, RunOutput, SpectrumPlan, TraceMode, WindowOutput};
+use crate::engine::{RunOutput, SpectrumPlan, TraceMode};
 use crate::metrics::{RunResult, SchemeSummary};
 use crate::packet_engine::{self, PacketRunResult, PacketWindowOutput};
-use crate::pool::{self, SHARDS_COUNTER, SLOTS_COUNTER, SOLVER_COUNTER};
+use crate::pool;
 use crate::scenario::Scenario;
 use crate::scheme::Scheme;
+use crate::stream::{RunStream, ShardCounters};
 use crate::trace::SimTrace;
 use fcr_runtime::{JobOutcome, Priority, Runtime, ShardPolicy};
 use fcr_stats::rng::SeedSequence;
 use fcr_stats::series::Series;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Builder-style handle for running one scenario several times.
 ///
@@ -184,78 +187,44 @@ impl SimSession {
     /// Executes all runs of `scheme` (fluid engine), sharded across
     /// the process-wide pool, returning per-run outcomes in run order.
     ///
-    /// Seeds are derived per `(run, gop)`, so sample paths are
-    /// identical across schemes (common random numbers) and results
-    /// are bit-identical to the serial [`crate::engine::run`] path for
-    /// every shard policy and worker count.
+    /// Each run is one [`RunStream`]; every window task of every run
+    /// goes out as one batch, run-major then window order. Seeds are
+    /// derived per `(run, gop)`, so sample paths are identical across
+    /// schemes (common random numbers) and results are bit-identical
+    /// to the serial [`crate::engine::run`] path for every shard
+    /// policy and worker count.
     pub fn run(&self, scheme: Scheme) -> SessionResult {
-        let seeds = SeedSequence::new(self.master_seed);
         let runtime = self.pool();
         record_pool_resizes(runtime);
-        let total_gops = u64::from(self.config.gops);
         let window_gops = self
             .shard_policy()
-            .window_gops(total_gops, runtime.active_workers());
-        let windows_per_run = total_gops.div_ceil(window_gops);
-        let mode = self.trace;
-
-        // Serial spectrum prologue, once per run (cheap and
-        // scheme-independent); every shard of the run shares the plan.
-        let plans: Vec<Arc<SpectrumPlan>> = (0..self.runs)
+            .window_gops(u64::from(self.config.gops), runtime.active_workers());
+        let streams: Vec<RunStream> = (0..self.runs)
             .map(|r| {
-                Arc::new(engine::plan_spectrum(
-                    &self.scenario,
-                    &self.config,
-                    &seeds.child("run", r),
-                ))
+                RunStream::new(
+                    Arc::clone(&self.scenario),
+                    self.config,
+                    scheme,
+                    self.master_seed,
+                    r,
+                    window_gops,
+                    self.trace,
+                )
             })
             .collect();
-
-        // One flat batch, run-major then window order — regrouped below
-        // in exactly this order.
-        let mut jobs = Vec::with_capacity((self.runs * windows_per_run) as usize);
-        for r in 0..self.runs {
-            let run_seeds = seeds.child("run", r);
-            for w in 0..windows_per_run {
-                let gop_start = w * window_gops;
-                let gops = window_gops.min(total_gops - gop_start) as u32;
-                jobs.push(WindowJob {
-                    scenario: Arc::clone(&self.scenario),
-                    config: self.config,
-                    scheme,
-                    run_seeds,
-                    plan: Arc::clone(&plans[r as usize]),
-                    run: r,
-                    window: w,
-                    gop_start: gop_start as u32,
-                    gops,
-                    mode,
-                });
-            }
-        }
-        let window_outcomes = execute_windows(runtime, self.priority, jobs, |job| job.execute());
-
-        let mut iter = window_outcomes.into_iter();
-        let outcomes = (0..self.runs)
-            .map(|r| {
-                let mut windows = Vec::with_capacity(windows_per_run as usize);
-                let mut failure = None;
-                for _ in 0..windows_per_run {
-                    match iter.next().expect("one outcome per submitted window") {
-                        Ok(w) => windows.push(w),
-                        Err(e) => failure = Some(e),
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(engine::stitch(
-                        &self.config,
-                        &plans[r as usize],
-                        windows,
-                        mode,
-                    )),
-                }
-            })
+        let counters = ShardCounters::from_runtime(runtime);
+        let window_outcomes = runtime.run_batch_with(
+            self.priority,
+            streams.iter().flat_map(RunStream::tasks).map(|task| {
+                let counters = counters.clone();
+                move || task.execute_counted(&counters)
+            }),
+        );
+        let windows_per_run = streams[0].window_count(); // `runs` is at least 1
+        let outcomes = regroup_runs(window_outcomes, self.runs, windows_per_run)
+            .into_iter()
+            .zip(&streams)
+            .map(|(windows, stream)| windows.map(|w| stream.stitch(w)))
             .collect();
         SessionResult { scheme, outcomes }
     }
@@ -274,54 +243,45 @@ impl SimSession {
             .window_gops(total_gops, runtime.active_workers());
         let windows_per_run = total_gops.div_ceil(window_gops);
 
-        let plans: Vec<Arc<SpectrumPlan>> = (0..self.runs)
-            .map(|r| {
-                Arc::new(packet_engine::plan_packet(
-                    &self.scenario,
-                    &self.config,
-                    &seeds.child("packet-run", r),
-                ))
-            })
-            .collect();
-
         let mut jobs = Vec::with_capacity((self.runs * windows_per_run) as usize);
         for r in 0..self.runs {
             let run_seeds = seeds.child("packet-run", r);
+            let plan = Arc::new(packet_engine::plan_packet(
+                &self.scenario,
+                &self.config,
+                &run_seeds,
+            ));
             for w in 0..windows_per_run {
                 let gop_start = w * window_gops;
-                let gops = window_gops.min(total_gops - gop_start) as u32;
                 jobs.push(PacketWindowJob {
                     scenario: Arc::clone(&self.scenario),
                     config: self.config,
                     scheme,
                     run_seeds,
-                    plan: Arc::clone(&plans[r as usize]),
-                    run: r,
-                    window: w,
-                    gop_start: gop_start as u32,
-                    gops,
+                    plan: Arc::clone(&plan),
+                    record: fcr_telemetry::ShardRecord {
+                        run: r,
+                        window: w,
+                        gop_start,
+                        gops: window_gops.min(total_gops - gop_start),
+                        wall_ns: 0,
+                    },
                 });
             }
         }
-        let window_outcomes = execute_windows(runtime, self.priority, jobs, |job| job.execute());
+        let counters = ShardCounters::from_runtime(runtime);
+        let window_outcomes = runtime.run_batch_with(
+            self.priority,
+            jobs.into_iter().map(|job| {
+                let counters = counters.clone();
+                move || counters.timed(job.record, job.config.deadline, || job.execute())
+            }),
+        );
 
         let num_users = self.scenario.num_users();
-        let mut iter = window_outcomes.into_iter();
-        let outcomes = (0..self.runs)
-            .map(|_| {
-                let mut windows = Vec::with_capacity(windows_per_run as usize);
-                let mut failure = None;
-                for _ in 0..windows_per_run {
-                    match iter.next().expect("one outcome per submitted window") {
-                        Ok(w) => windows.push(w),
-                        Err(e) => failure = Some(e),
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(packet_engine::stitch_packet(windows, num_users)),
-                }
-            })
+        let outcomes = regroup_runs(window_outcomes, self.runs, windows_per_run)
+            .into_iter()
+            .map(|windows| windows.map(|w| packet_engine::stitch_packet(w, num_users)))
             .collect();
         PacketSessionResult { scheme, outcomes }
     }
@@ -381,106 +341,45 @@ fn record_pool_resizes(runtime: &fcr_runtime::Runtime) {
     }
 }
 
-/// Submits window jobs as one flat batch on the shared pool under the
-/// session's priority, with per-shard telemetry and the domain
-/// counters every window feeds.
-fn execute_windows<J, T>(
-    runtime: &Runtime,
-    priority: Priority,
-    jobs: Vec<J>,
-    execute: impl Fn(&J) -> T + Copy + Send + Sync + 'static,
-) -> Vec<JobOutcome<T>>
-where
-    J: ShardJob + Send + 'static,
-    T: Send + 'static,
-{
-    let slots = runtime.metrics().counter(SLOTS_COUNTER);
-    let solves = runtime.metrics().counter(SOLVER_COUNTER);
-    let shards = runtime.metrics().counter(SHARDS_COUNTER);
-    runtime.run_batch_with(
-        priority,
-        jobs.into_iter().map(|job| {
-            let slots = Arc::clone(&slots);
-            let solves = Arc::clone(&solves);
-            let shards = Arc::clone(&shards);
-            move || {
-                use std::sync::atomic::Ordering;
-                let started = Instant::now();
-                let out = execute(&job);
-                let record = job.record(started.elapsed().as_nanos() as u64);
-                // One channel-allocation solve happens per simulated slot.
-                slots.fetch_add(record.gops * job.slots_per_gop(), Ordering::Relaxed);
-                solves.fetch_add(record.gops * job.slots_per_gop(), Ordering::Relaxed);
-                shards.fetch_add(1, Ordering::Relaxed);
-                fcr_telemetry::record_shard(record);
-                out
+/// Regroups one flat run-major batch of window outcomes into per-run
+/// window lists, `windows_per_run` at a time. A run with a failed
+/// window comes back `Err` (its last failing window's error); the
+/// other runs keep exactly their own windows, in order.
+fn regroup_runs<T>(
+    outcomes: Vec<JobOutcome<T>>,
+    runs: u64,
+    windows_per_run: u64,
+) -> Vec<JobOutcome<Vec<T>>> {
+    assert_eq!(
+        outcomes.len() as u64,
+        runs * windows_per_run,
+        "one outcome per submitted window"
+    );
+    let mut iter = outcomes.into_iter();
+    (0..runs)
+        .map(|_| {
+            let mut windows = Vec::with_capacity(windows_per_run as usize);
+            let mut failure = None;
+            for outcome in iter.by_ref().take(windows_per_run as usize) {
+                match outcome {
+                    Ok(w) => windows.push(w),
+                    Err(e) => failure = Some(e),
+                }
             }
-        }),
-    )
+            failure.map_or(Ok(windows), Err)
+        })
+        .collect()
 }
 
-/// The bookkeeping interface shared by fluid and packet window jobs.
-trait ShardJob {
-    fn record(&self, wall_ns: u64) -> fcr_telemetry::ShardRecord;
-    fn slots_per_gop(&self) -> u64;
-}
-
-/// One GOP-aligned fluid-engine window of one run, fully described.
-struct WindowJob {
-    scenario: Arc<Scenario>,
-    config: SimConfig,
-    scheme: Scheme,
-    run_seeds: SeedSequence,
-    plan: Arc<SpectrumPlan>,
-    run: u64,
-    window: u64,
-    gop_start: u32,
-    gops: u32,
-    mode: TraceMode,
-}
-
-impl WindowJob {
-    fn execute(&self) -> WindowOutput {
-        engine::run_window(
-            &self.scenario,
-            &self.config,
-            self.scheme,
-            &self.run_seeds,
-            &self.plan,
-            self.gop_start,
-            self.gops,
-            self.mode,
-        )
-    }
-}
-
-impl ShardJob for WindowJob {
-    fn record(&self, wall_ns: u64) -> fcr_telemetry::ShardRecord {
-        fcr_telemetry::ShardRecord {
-            run: self.run,
-            window: self.window,
-            gop_start: u64::from(self.gop_start),
-            gops: u64::from(self.gops),
-            wall_ns,
-        }
-    }
-
-    fn slots_per_gop(&self) -> u64 {
-        u64::from(self.config.deadline)
-    }
-}
-
-/// One GOP-aligned packet-engine window of one run.
+/// One GOP-aligned packet-engine window of one run; `record` names
+/// the window (its `wall_ns` is filled in when it executes).
 struct PacketWindowJob {
     scenario: Arc<Scenario>,
     config: SimConfig,
     scheme: Scheme,
     run_seeds: SeedSequence,
     plan: Arc<SpectrumPlan>,
-    run: u64,
-    window: u64,
-    gop_start: u32,
-    gops: u32,
+    record: fcr_telemetry::ShardRecord,
 }
 
 impl PacketWindowJob {
@@ -491,25 +390,9 @@ impl PacketWindowJob {
             self.scheme,
             &self.run_seeds,
             &self.plan,
-            self.gop_start,
-            self.gops,
+            self.record.gop_start as u32,
+            self.record.gops as u32,
         )
-    }
-}
-
-impl ShardJob for PacketWindowJob {
-    fn record(&self, wall_ns: u64) -> fcr_telemetry::ShardRecord {
-        fcr_telemetry::ShardRecord {
-            run: self.run,
-            window: self.window,
-            gop_start: u64::from(self.gop_start),
-            gops: u64::from(self.gops),
-            wall_ns,
-        }
-    }
-
-    fn slots_per_gop(&self) -> u64 {
-        u64::from(self.config.deadline)
     }
 }
 
@@ -642,6 +525,8 @@ mod tests {
     use super::*;
     use crate::engine::run;
     use crate::packet_engine::run_packet_level;
+    use crate::pool::SHARDS_COUNTER;
+    use fcr_runtime::JobError;
 
     fn quick() -> SimSession {
         let cfg = SimConfig {
@@ -729,6 +614,39 @@ mod tests {
             .counter(SHARDS_COUNTER)
             .expect("registered");
         assert_eq!(after - before, 3 * 2, "3 runs × 2 windows");
+    }
+
+    #[test]
+    fn regrouping_isolates_a_failed_window_to_its_own_run() {
+        // 3 runs × 3 windows, run-major; window 1 of run 1 panicked.
+        let outcomes: Vec<JobOutcome<u64>> = (0..9u64)
+            .map(|i| {
+                if i == 4 {
+                    Err(JobError::Panicked("window 1 of run 1".to_string()))
+                } else {
+                    Ok(i)
+                }
+            })
+            .collect();
+        let runs = regroup_runs(outcomes, 3, 3);
+        assert_eq!(runs.len(), 3);
+        assert_eq!(runs[0], Ok(vec![0, 1, 2]));
+        assert_eq!(
+            runs[1],
+            Err(JobError::Panicked("window 1 of run 1".to_string()))
+        );
+        assert_eq!(runs[2], Ok(vec![6, 7, 8]));
+    }
+
+    #[test]
+    fn regrouping_reports_the_last_failed_window_of_a_run() {
+        let outcomes: Vec<JobOutcome<u64>> = vec![
+            Err(JobError::Panicked("first".to_string())),
+            Ok(1),
+            Err(JobError::Panicked("last".to_string())),
+        ];
+        let runs = regroup_runs(outcomes, 1, 3);
+        assert_eq!(runs, vec![Err(JobError::Panicked("last".to_string()))]);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Incremental (streaming) execution of one simulation run — the seam
-//! `fcr-serve` schedules live sessions through.
+//! both [`crate::session::SimSession`] and `fcr-serve` schedule runs
+//! through.
 //!
-//! [`crate::session::SimSession`] is batch-shaped: it builds every
-//! window job up front, submits them as one batch, and blocks until
-//! the batch drains. A long-running service cannot block like that —
-//! it interleaves windows of *many* runs on one slot clock, submits
-//! them as their playout deadlines approach, and stitches each run
-//! when its windows come back. [`RunStream`] exposes exactly the
-//! batch pipeline (`plan_spectrum` → `run_window` → `stitch`) in that
-//! pull shape:
+//! [`RunStream`] is the one pool executor of the fluid engine: it
+//! exposes the pipeline `plan_spectrum` → `run_window` → `stitch` in
+//! pull shape. [`crate::session::SimSession::run`] opens one stream
+//! per run, submits every window task of every run as one batch and
+//! blocks until the batch drains. A long-running service cannot block
+//! like that — it interleaves windows of *many* runs on one slot
+//! clock, submits them as their playout deadlines approach, and
+//! stitches each run when its windows come back. Both drive the same
+//! three steps:
 //!
 //! 1. [`RunStream::new`] runs the serial spectrum prologue and derives
-//!    the same per-run seeds as the batch path (`child("run", r)`).
+//!    the per-run seeds (`child("run", r)`).
 //! 2. [`RunStream::tasks`] yields one [`WindowTask`] per GOP-aligned
 //!    window. Tasks are self-contained, cheaply cloneable, and
 //!    idempotent: executing the same task twice yields the same
@@ -22,9 +24,8 @@
 //!
 //! Windows are independent given the plan and stitching is
 //! partition-independent, so a streamed run is **bit-identical** to
-//! [`crate::engine::run`] and to [`crate::session::SimSession`] for
-//! every window size and scheduling order — the property the serve
-//! path's conformance tests pin.
+//! [`crate::engine::run`] for every window size and scheduling order —
+//! the property the session and serve conformance tests pin.
 
 use crate::config::SimConfig;
 use crate::engine::{self, RunOutput, SpectrumPlan, TraceMode, WindowOutput};
@@ -32,11 +33,12 @@ use crate::scenario::Scenario;
 use crate::scheme::Scheme;
 use fcr_runtime::Runtime;
 use fcr_stats::rng::SeedSequence;
+use fcr_telemetry::ShardRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Handles to the domain counters the batch path feeds per shard,
+/// Handles to the domain counters every executed shard feeds,
 /// pre-resolved so a pool job can update them without reaching back
 /// into the runtime's metrics registry.
 #[derive(Debug, Clone)]
@@ -47,14 +49,36 @@ pub struct ShardCounters {
 }
 
 impl ShardCounters {
-    /// Resolves the three domain counters on `runtime` (registering
-    /// them on first use, like the batch session path).
+    /// Resolves the three domain counters on `runtime`, registering
+    /// them on first use.
     pub fn from_runtime(runtime: &Runtime) -> Self {
         ShardCounters {
             slots: runtime.metrics().counter(crate::pool::SLOTS_COUNTER),
             solves: runtime.metrics().counter(crate::pool::SOLVER_COUNTER),
             shards: runtime.metrics().counter(crate::pool::SHARDS_COUNTER),
         }
+    }
+
+    /// Runs `execute` as the shard `record` describes, then lands the
+    /// shard's wall time in telemetry as that [`ShardRecord`] and
+    /// advances the slots/solver/shards counters by its
+    /// `gops × slots_per_gop` slots.
+    pub(crate) fn timed<T>(
+        &self,
+        mut record: ShardRecord,
+        slots_per_gop: u32,
+        execute: impl FnOnce() -> T,
+    ) -> T {
+        let started = Instant::now();
+        let out = execute();
+        record.wall_ns = started.elapsed().as_nanos() as u64;
+        let slots = record.gops * u64::from(slots_per_gop);
+        // One channel-allocation solve happens per simulated slot.
+        self.slots.fetch_add(slots, Ordering::Relaxed);
+        self.solves.fetch_add(slots, Ordering::Relaxed);
+        self.shards.fetch_add(1, Ordering::Relaxed);
+        fcr_telemetry::record_shard(record);
+        out
     }
 }
 
@@ -78,10 +102,10 @@ impl RunStream {
     /// prologue now and cutting the run into GOP-aligned windows of
     /// `window_gops` GOPs (clamped to `[1, config.gops]`).
     ///
-    /// Seed derivation matches [`crate::session::SimSession::run`]
-    /// exactly (`SeedSequence::new(master).child("run", run_index)`),
-    /// so streamed results are bit-identical to batch results for the
-    /// same master seed.
+    /// Every run seed derives as
+    /// `SeedSequence::new(master).child("run", run_index)`, the same
+    /// derivation [`crate::engine::run`] uses, so a streamed run is
+    /// bit-identical to the serial run for the same master seed.
     ///
     /// # Panics
     ///
@@ -153,8 +177,7 @@ impl RunStream {
     }
 
     /// Folds the completed windows of this run — in any order, each
-    /// exactly once — into the final run output, exactly like the
-    /// batch stitch.
+    /// exactly once — into the final run output.
     ///
     /// # Panics
     ///
@@ -226,11 +249,6 @@ impl WindowTask {
         self.gops
     }
 
-    /// Slots this window simulates.
-    pub fn slots(&self) -> u64 {
-        u64::from(self.gops) * u64::from(self.config.deadline)
-    }
-
     /// Executes the window: pure compute, no telemetry.
     pub fn execute(&self) -> CompletedWindow {
         CompletedWindow {
@@ -247,27 +265,20 @@ impl WindowTask {
         }
     }
 
-    /// Executes the window with the batch path's full bookkeeping: the
-    /// shard wall time lands in telemetry as a
-    /// [`fcr_telemetry::ShardRecord`] and the slots/solver/shards
-    /// domain counters advance — so serve-path runs are
-    /// observationally identical to [`crate::session::SimSession`]
-    /// runs.
+    /// Executes the window with full bookkeeping: the shard wall time
+    /// lands in telemetry as a [`ShardRecord`] and the
+    /// slots/solver/shards domain counters advance. This is how
+    /// [`crate::session::SimSession::run`] and the serve path execute
+    /// every window.
     pub fn execute_counted(&self, counters: &ShardCounters) -> CompletedWindow {
-        let started = Instant::now();
-        let out = self.execute();
-        let slots = self.slots();
-        counters.slots.fetch_add(slots, Ordering::Relaxed);
-        counters.solves.fetch_add(slots, Ordering::Relaxed);
-        counters.shards.fetch_add(1, Ordering::Relaxed);
-        fcr_telemetry::record_shard(fcr_telemetry::ShardRecord {
+        let record = ShardRecord {
             run: self.run_index,
             window: self.window,
             gop_start: u64::from(self.gop_start),
             gops: u64::from(self.gops),
-            wall_ns: started.elapsed().as_nanos() as u64,
-        });
-        out
+            wall_ns: 0,
+        };
+        counters.timed(record, self.config.deadline, || self.execute())
     }
 }
 

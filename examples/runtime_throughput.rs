@@ -10,10 +10,11 @@
 //!
 //! Three modes:
 //!
-//! - **default** — every job is a full [`SimJob`] (one simulation run
-//!   of the paper's baseline single-FBS scenario); the batch is large
-//!   enough to keep every worker busy, and the snapshot printed at the
-//!   end shows the pool-level counters
+//! - **default** — every job is one whole simulation run of the paper's
+//!   baseline single-FBS scenario, submitted as one
+//!   [`ShardPolicy::WholeRun`] [`SimSession`] per scheme; each batch is
+//!   large enough to keep every worker busy, and the snapshot printed
+//!   at the end shows the pool-level counters
 //!   (submitted/completed/failed/stolen), the wall-time histogram, and
 //!   the domain counters (`slots_simulated`, `solver_invocations`).
 //! - **`--shards`** — intra-run sharding benchmark: the same runs are
@@ -38,7 +39,6 @@ use fcr::prelude::*;
 use fcr::sim::engine;
 use fcr::sim::pool::{self, SHARDS_COUNTER, SLOTS_COUNTER};
 use fcr::sim::report::runtime_metrics_table;
-use std::sync::Arc;
 use std::time::Instant;
 
 struct Args {
@@ -84,34 +84,41 @@ fn parse_args() -> Args {
     args_out
 }
 
-/// Default mode: one [`SimJob`] per run, whole runs as pool jobs.
+/// Default mode: `jobs` whole runs as pool jobs, one
+/// [`ShardPolicy::WholeRun`] session per scheme.
 fn run_batch_mode(jobs: u64, gops: u32) {
     let config = SimConfig {
         gops,
         ..SimConfig::default()
     };
-    let scenario = Arc::new(Scenario::single_fbs(&config));
+    let scenario = Scenario::single_fbs(&config);
     let schemes = Scheme::PAPER_TRIO;
-
-    // One batch of `jobs` runs, round-robin over the paper's three
-    // schemes so the mix resembles a real figure reproduction.
-    let batch: Vec<SimJob> = (0..jobs)
-        .map(|i| SimJob {
-            scenario: Arc::clone(&scenario),
-            config,
-            scheme: schemes[(i % schemes.len() as u64) as usize],
-            master_seed: 2011,
-            run_index: i / schemes.len() as u64,
-        })
-        .collect();
 
     let workers = pool::shared().workers();
     println!(
         "submitting {jobs} simulation runs ({gops} GOPs each, {} slots/run) to {workers} workers...",
         config.total_slots(),
     );
+    // `jobs` runs split over the paper's three schemes so the mix
+    // resembles a real figure reproduction.
     let started = Instant::now();
-    let outcomes = pool::execute_all(batch);
+    let outcomes: Vec<JobOutcome<RunOutput>> = schemes
+        .iter()
+        .enumerate()
+        .filter_map(|(k, &scheme)| {
+            let runs = (jobs + (schemes.len() - 1 - k) as u64) / schemes.len() as u64;
+            (runs > 0).then(|| {
+                SimSession::new(scenario.clone())
+                    .config(config)
+                    .seed(2011)
+                    .runs(runs)
+                    .shards(ShardPolicy::WholeRun)
+                    .run(scheme)
+                    .into_outcomes()
+            })
+        })
+        .flatten()
+        .collect();
     let elapsed = started.elapsed();
 
     let ok = outcomes.iter().filter(|o| o.is_ok()).count();

@@ -3,8 +3,8 @@
 //! and the pool's invisibility to experiment results.
 
 use fcr::prelude::*;
-use fcr::sim::pool::{self, SimJob, SLOTS_COUNTER, SOLVER_COUNTER};
-use std::sync::{Arc, Mutex, MutexGuard};
+use fcr::sim::pool::{self, SLOTS_COUNTER, SOLVER_COUNTER};
+use std::sync::{Mutex, MutexGuard};
 
 fn quick_config() -> SimConfig {
     SimConfig {
@@ -67,19 +67,14 @@ fn injected_panic_is_contained_and_the_shared_pool_survives() {
 fn shared_pool_accounts_every_simulated_slot() {
     let _gate = exclusive();
     let cfg = quick_config();
-    let scenario = Arc::new(Scenario::single_fbs(&cfg));
+    let session = SimSession::new(Scenario::single_fbs(&cfg))
+        .config(cfg)
+        .runs(4)
+        .seed(17)
+        .shards(ShardPolicy::WholeRun);
     let before = pool::snapshot();
-    let jobs: Vec<SimJob> = (0..4)
-        .map(|run_index| SimJob {
-            scenario: Arc::clone(&scenario),
-            config: cfg,
-            scheme: Scheme::Heuristic1,
-            master_seed: 17,
-            run_index,
-        })
-        .collect();
-    let outcomes = pool::execute_all(jobs);
-    assert!(outcomes.iter().all(Result::is_ok));
+    let result = session.run(Scheme::Heuristic1);
+    assert!(result.outcomes().iter().all(Result::is_ok));
     let after = pool::snapshot();
 
     let slots = 4 * cfg.total_slots();
