@@ -19,7 +19,7 @@
 //!   steal/ordering interleavings without altering any job's output.
 //! * **Resizes** ([`FaultKind::Resize`]) force the pool to
 //!   grow/shrink to a target worker count right before the `at`-th
-//!   user submission, simulating autoscaler storms at adversarial
+//!   user submission, simulating resize storms at adversarial
 //!   points.
 //!
 //! Faults fire **exactly once**: each is keyed by a monotone sequence

@@ -11,19 +11,15 @@
 //!
 //! # Architecture
 //!
-//! * **[`Runtime`]** — an **elastic** worker pool sized by
+//! * **[`Runtime`]** — a worker pool sized by
 //!   [`std::thread::available_parallelism`] (overridable via
 //!   [`RuntimeConfig`]). Workers never exceed the configured
 //!   `max_workers` ceiling — a hard concurrency cap regardless of how
-//!   many jobs are submitted — and the active count can grow/shrink
-//!   ([`Runtime::resize`] / [`Runtime::autoscale`] / the always-on
-//!   background loop started by [`Runtime::start_autoscaler`] or
-//!   [`RuntimeConfig::autoscale`]) within `[min_workers,
-//!   max_workers]`, driven by queue depth and per-worker utilization
-//!   (in-flight jobs included, so long shards never read as idle).
-//!   Loop steps respect an [`AutoscaleConfig`] cooldown so a grow is
-//!   never immediately undone by a shrink; every applied step is a
-//!   [`ResizeEvent`] tagged with its [`ResizeTrigger`] provenance.
+//!   many jobs are submitted. The pool keeps its size unless a caller
+//!   moves it with [`Runtime::resize`] within `[min_workers,
+//!   max_workers]`; it has no sizing policy of its own, since the
+//!   workloads it serves are batches of independent seeded runs that
+//!   a fixed pool returning results in submission order fits.
 //! * **[`Priority`]** — jobs carry a service class
 //!   ([`PriorityClass::Urgent`] / `Normal` / `Bulk`) plus an optional
 //!   absolute deadline; each queue shard keeps one deque per class,
@@ -109,6 +105,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, FaultSpec};
 pub use histogram::HistogramSnapshot;
 pub use job::{JobError, JobHandle, JobOutcome};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, WorkerSnapshot};
-pub use pool::{AutoscaleConfig, RejectedJob, Runtime, RuntimeConfig};
+pub use pool::{RejectedJob, Runtime, RuntimeConfig};
 pub use priority::{Priority, PriorityClass};
-pub use shard::{ResizeEvent, ResizeTrigger, ShardPolicy};
+pub use shard::{ResizeEvent, ShardPolicy};

@@ -10,10 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Sentinel for "no job currently executing" in
-/// [`WorkerStats::in_flight_since_ns`].
-const IDLE: u64 = u64::MAX;
-
 /// Live per-worker counters: how much wall time worker `i` spent
 /// executing jobs, how many jobs it ran, and how many of those it
 /// stole from a sibling's shard.
@@ -22,12 +18,6 @@ pub(crate) struct WorkerStats {
     busy_ns: AtomicU64,
     jobs_executed: AtomicU64,
     steals: AtomicU64,
-    /// Registry-relative start time (ns since [`MetricsRegistry`]
-    /// construction) of the job this worker is executing right now, or
-    /// [`IDLE`]. Lets the autoscaler's utilization window see a
-    /// long-running job *while it runs* instead of only after it
-    /// completes.
-    in_flight_since_ns: AtomicU64,
 }
 
 impl WorkerStats {
@@ -36,7 +26,6 @@ impl WorkerStats {
             busy_ns: AtomicU64::new(0),
             jobs_executed: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            in_flight_since_ns: AtomicU64::new(IDLE),
         }
     }
 }
@@ -108,47 +97,6 @@ impl MetricsRegistry {
         self.active_workers.store(n as u64, Ordering::Relaxed);
     }
 
-    /// Nanoseconds elapsed since the registry was built (the clock
-    /// in-flight job starts are stamped against).
-    pub(crate) fn ns_since_start(&self) -> u64 {
-        u64::try_from(self.started_at.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Total busy nanoseconds across every worker slot, **including**
-    /// the elapsed portion of jobs still executing — the raw signal
-    /// behind the autoscaler's delta-utilization reading.
-    ///
-    /// Counting in-flight elapsed time matters: `busy_ns` alone only
-    /// advances when a job *completes*, so a pool running long shards
-    /// would read ~0% utilization mid-job and get shrunk out from
-    /// under its own workload. The estimate is monotone
-    /// non-decreasing, so window deltas stay non-negative.
-    pub(crate) fn busy_ns_estimate(&self) -> u64 {
-        let now = self.ns_since_start();
-        self.worker_stats
-            .iter()
-            .map(|w| {
-                let completed = w.busy_ns.load(Ordering::Relaxed);
-                let since = w.in_flight_since_ns.load(Ordering::Relaxed);
-                let running = if since == IDLE {
-                    0
-                } else {
-                    now.saturating_sub(since)
-                };
-                completed.saturating_add(running)
-            })
-            .sum()
-    }
-
-    /// Marks worker `index` as having just started executing a job
-    /// (stamps the in-flight clock read by [`Self::busy_ns_estimate`]).
-    pub(crate) fn note_worker_start(&self, index: usize) {
-        if let Some(w) = self.worker_stats.get(index) {
-            w.in_flight_since_ns
-                .store(self.ns_since_start(), Ordering::Relaxed);
-        }
-    }
-
     /// Decrements the queue-depth gauge, saturating at zero. A plain
     /// `fetch_sub` on an unpaired path would wrap the gauge to
     /// `u64::MAX`; saturating keeps a momentarily-skewed gauge merely
@@ -177,8 +125,6 @@ impl MetricsRegistry {
             let ns = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
             w.busy_ns.fetch_add(ns, Ordering::Relaxed);
             w.jobs_executed.fetch_add(1, Ordering::Relaxed);
-            // The job is done: stop counting it as in-flight.
-            w.in_flight_since_ns.store(IDLE, Ordering::Relaxed);
         }
     }
 
@@ -389,31 +335,6 @@ mod tests {
         // An unpaired extra decrement must NOT wrap to u64::MAX.
         m.dec_queue_depth();
         assert_eq!(m.snapshot().queue_depth, 0);
-    }
-
-    #[test]
-    fn busy_estimate_counts_in_flight_elapsed_time() {
-        let m = MetricsRegistry::new(2);
-        // Nothing running, nothing completed: estimate is zero.
-        assert_eq!(m.busy_ns_estimate(), 0);
-        // Worker 0 starts a long job and has NOT finished it.
-        m.note_worker_start(0);
-        std::thread::sleep(Duration::from_millis(5));
-        let est = m.busy_ns_estimate();
-        assert!(
-            est >= 4_000_000,
-            "in-flight job invisible to the estimate: {est}ns"
-        );
-        // Completed busy time is unchanged until the job finishes.
-        assert_eq!(m.snapshot().per_worker[0].busy_ns, 0);
-        // Finishing the job moves it from in-flight to completed; the
-        // estimate stays monotone.
-        m.record_worker_job(0, Duration::from_millis(5));
-        let after = m.busy_ns_estimate();
-        assert!(after >= 5_000_000);
-        assert_eq!(m.snapshot().per_worker[0].busy_ns, 5_000_000);
-        // Out-of-range indices are ignored.
-        m.note_worker_start(9);
     }
 
     #[test]

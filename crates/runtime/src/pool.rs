@@ -1,43 +1,19 @@
-//! The elastic worker pool: priority-aware sharded submission, work
+//! The worker pool: priority-aware sharded submission, work
 //! stealing, blocking and non-blocking backpressure, panic
-//! containment, manual and always-on background autoscaling within
-//! configured bounds, and graceful shutdown.
+//! containment, explicit resizing within configured bounds, and
+//! graceful shutdown.
 
 use crate::fault::{FaultPlan, FaultReport, SubmissionFault};
 use crate::job::{panic_message, CompletionSlot, JobError, JobHandle, JobOutcome, Task};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::priority::Priority;
 use crate::queue::Shard;
-use crate::shard::{ResizeEvent, ResizeTrigger, ShardPolicy};
+use crate::shard::{ResizeEvent, ShardPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Tuning for the always-on background autoscaler loop
-/// ([`Runtime::start_autoscaler`], or [`RuntimeConfig::autoscale`] to
-/// start it with the pool).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoscaleConfig {
-    /// How often the loop samples the pool and takes one
-    /// [`Runtime::autoscale`]-style step.
-    pub interval: Duration,
-    /// Hysteresis: after **any** resize, loop-triggered steps are
-    /// suppressed for this long, so a grow can't be immediately undone
-    /// by a shrink (and vice versa). Manual [`Runtime::autoscale`] /
-    /// [`Runtime::resize`] calls are never throttled.
-    pub cooldown: Duration,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            interval: Duration::from_millis(20),
-            cooldown: Duration::from_millis(200),
-        }
-    }
-}
 
 /// Sizing knobs for a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +24,8 @@ pub struct RuntimeConfig {
     /// Bounded capacity of **each** shard; total queued jobs never
     /// exceed `active workers * queue_capacity`.
     pub queue_capacity: usize,
-    /// Elastic floor: [`Runtime::resize`] / [`Runtime::autoscale`]
-    /// never shrink below this many workers. Clamped to
-    /// `1..=workers` at construction.
+    /// Elastic floor: [`Runtime::resize`] never shrinks below this
+    /// many workers. Clamped to `1..=workers` at construction.
     pub min_workers: usize,
     /// Elastic ceiling: the pool never grows beyond this many workers
     /// (also the number of queue shards). Raised to at least `workers`
@@ -59,11 +34,6 @@ pub struct RuntimeConfig {
     /// Default intra-run sharding policy for shard-aware callers
     /// (`fcr-sim` reads this when a `SimConfig` does not override it).
     pub shard: ShardPolicy,
-    /// When `Some`, the pool starts its background autoscaler thread
-    /// at construction (equivalent to calling
-    /// [`Runtime::start_autoscaler`] immediately). `None` (the
-    /// default) keeps sizing fully manual.
-    pub autoscale: Option<AutoscaleConfig>,
 }
 
 impl Default for RuntimeConfig {
@@ -77,7 +47,6 @@ impl Default for RuntimeConfig {
             min_workers: 1,
             max_workers: workers,
             shard: ShardPolicy::Auto,
-            autoscale: None,
         }
     }
 }
@@ -87,16 +56,6 @@ struct PoolState {
     /// per-shard lengths, so workers can park on one condvar).
     queued: usize,
     shutdown: bool,
-}
-
-/// Baselines for delta-utilization readings between autoscale steps,
-/// plus the hysteresis timestamp for the background loop.
-struct AutoscaleState {
-    last_busy_ns: u64,
-    last_at: Instant,
-    /// When the most recent resize (manual or loop) was applied;
-    /// loop-triggered steps within the cooldown are skipped.
-    last_resize_at: Option<Instant>,
 }
 
 struct Shared {
@@ -116,15 +75,8 @@ struct Shared {
     workers: Mutex<Vec<Option<JoinHandle<()>>>>,
     min_workers: usize,
     max_workers: usize,
-    autoscale_state: Mutex<AutoscaleState>,
     /// Named counter `pool.resizes` (also visible in snapshots).
     resizes: Arc<AtomicU64>,
-    /// Loop-triggered resize events awaiting collection by
-    /// [`Runtime::drain_resize_events`].
-    pending_resizes: Mutex<Vec<ResizeEvent>>,
-    /// Background autoscaler control: `true` asks the loop to exit.
-    scaler_stop: Mutex<bool>,
-    scaler_cv: Condvar,
     /// Deterministic fault schedule ([`Runtime::with_faults`]); `None`
     /// on production pools — the hooks below reduce to one branch.
     fault: Option<Arc<FaultPlan>>,
@@ -218,82 +170,7 @@ impl Shared {
         }
         self.metrics.set_active_workers(target);
         self.resizes.fetch_add(1, Ordering::Relaxed);
-        // Start the loop's cooldown window: the next loop-triggered
-        // step must not immediately undo this one.
-        self.autoscale_state
-            .lock()
-            .expect("autoscale state poisoned")
-            .last_resize_at = Some(Instant::now());
         target
-    }
-
-    /// One adaptive sizing step. `cooldown` is `Some` only for
-    /// loop-triggered steps (manual calls are never throttled).
-    fn autoscale_step(
-        self: &Arc<Self>,
-        trigger: ResizeTrigger,
-        cooldown: Option<Duration>,
-    ) -> Option<ResizeEvent> {
-        let active = self.active.load(Ordering::Acquire);
-        if active == 0 {
-            return None;
-        }
-        if let Some(cooldown) = cooldown {
-            let st = self
-                .autoscale_state
-                .lock()
-                .expect("autoscale state poisoned");
-            if let Some(last) = st.last_resize_at {
-                if last.elapsed() < cooldown {
-                    // Hysteresis: too soon after the previous resize.
-                    // Baselines stay untouched so the next reading
-                    // still covers the full window.
-                    return None;
-                }
-            }
-        }
-        let queue_depth = self.metrics.queue_depth.load(Ordering::Relaxed);
-        // In-flight-aware busy signal: long-running jobs count while
-        // they run, so a busy pool never reads as idle and gets
-        // shrunk out from under its own workload.
-        let busy_ns = self.metrics.busy_ns_estimate();
-        let utilization = {
-            let mut st = self
-                .autoscale_state
-                .lock()
-                .expect("autoscale state poisoned");
-            let now = Instant::now();
-            let dt = now.duration_since(st.last_at).as_nanos() as f64;
-            let dbusy = busy_ns.saturating_sub(st.last_busy_ns) as f64;
-            st.last_busy_ns = busy_ns;
-            st.last_at = now;
-            if dt <= 0.0 {
-                0.0
-            } else {
-                (dbusy / (dt * active as f64)).clamp(0.0, 1.0)
-            }
-        };
-        let target = if queue_depth > active as u64 && active < self.max_workers {
-            (active * 2).min(self.max_workers)
-        } else if queue_depth == 0 && utilization < 0.25 && active > self.min_workers {
-            (active / 2).max(self.min_workers)
-        } else {
-            active
-        };
-        if target == active {
-            return None;
-        }
-        let to = self.resize_to(target);
-        if to == active {
-            return None;
-        }
-        Some(ResizeEvent {
-            from: active,
-            to,
-            queue_depth,
-            utilization,
-            trigger,
-        })
     }
 }
 
@@ -317,9 +194,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             // The task wrapper contains its own catch_unwind and
             // in-flight accounting; it never unwinds into the worker
             // loop. Busy time is attributed to this worker for the
-            // utilization metrics, and the start is stamped so the
-            // autoscaler sees the job while it runs.
-            shared.metrics.note_worker_start(index);
+            // utilization metrics.
             let start = Instant::now();
             task();
             shared.metrics.record_worker_job(index, start.elapsed());
@@ -354,35 +229,6 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> JoinHandle<()> {
         .name(format!("fcr-runtime-{index}"))
         .spawn(move || worker_loop(shared, index))
         .expect("spawning runtime worker failed")
-}
-
-/// The background autoscaler: one [`Shared::autoscale_step`] per
-/// interval, stopping promptly when asked via the condvar.
-fn scaler_loop(shared: Arc<Shared>, config: AutoscaleConfig) {
-    let interval = config.interval.max(Duration::from_micros(100));
-    let mut stop = shared.scaler_stop.lock().expect("scaler control poisoned");
-    loop {
-        if *stop {
-            return;
-        }
-        let (guard, _timeout) = shared
-            .scaler_cv
-            .wait_timeout(stop, interval)
-            .expect("scaler control poisoned");
-        stop = guard;
-        if *stop {
-            return;
-        }
-        drop(stop);
-        if let Some(event) = shared.autoscale_step(ResizeTrigger::Loop, Some(config.cooldown)) {
-            shared
-                .pending_resizes
-                .lock()
-                .expect("resize buffer poisoned")
-                .push(event);
-        }
-        stop = shared.scaler_stop.lock().expect("scaler control poisoned");
-    }
 }
 
 /// Wraps a user closure into a queue [`Task`] plus the [`JobHandle`]
@@ -445,14 +291,12 @@ impl<T> RejectedJob<T> {
     }
 }
 
-/// An elastic sharded worker pool. See the crate docs for the full
-/// architecture story.
+/// A sharded worker pool of fixed size unless explicitly resized. See
+/// the crate docs for the full architecture story.
 pub struct Runtime {
     shared: Arc<Shared>,
     next_shard: AtomicUsize,
     shard_policy: ShardPolicy,
-    /// Background autoscaler thread, if running.
-    scaler: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -460,7 +304,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("active_workers", &self.active_workers())
             .field("max_workers", &self.shared.max_workers)
-            .field("autoscaler_running", &self.autoscaler_running())
             .finish_non_exhaustive()
     }
 }
@@ -520,15 +363,7 @@ impl Runtime {
             workers: Mutex::new((0..max_workers).map(|_| None).collect()),
             min_workers,
             max_workers,
-            autoscale_state: Mutex::new(AutoscaleState {
-                last_busy_ns: 0,
-                last_at: Instant::now(),
-                last_resize_at: None,
-            }),
             resizes,
-            pending_resizes: Mutex::new(Vec::new()),
-            scaler_stop: Mutex::new(false),
-            scaler_cv: Condvar::new(),
             fault,
         });
         {
@@ -537,16 +372,11 @@ impl Runtime {
                 *slot = Some(spawn_worker(&shared, index));
             }
         }
-        let runtime = Runtime {
+        Runtime {
             shared,
             next_shard: AtomicUsize::new(0),
             shard_policy: config.shard,
-            scaler: Mutex::new(None),
-        };
-        if let Some(autoscale) = config.autoscale {
-            runtime.start_autoscaler(autoscale);
         }
-        runtime
     }
 
     /// The current **active** worker count (elastic; see
@@ -589,82 +419,12 @@ impl Runtime {
         self.shared.resize_to(target)
     }
 
-    /// One **manual** adaptive sizing step (never throttled by the
-    /// autoscaler cooldown): grows the pool (one doubling) when the
-    /// queue backlog exceeds one job per active worker, shrinks it
-    /// (one halving) when the queue is empty and mean per-worker
-    /// utilization since the last step is below 25%. In-flight jobs
-    /// count toward utilization, so a pool running long shards is
-    /// never mistaken for idle. Returns the applied [`ResizeEvent`]
-    /// (with [`ResizeTrigger::Manual`]), or `None` when the size is
-    /// already right.
-    pub fn autoscale(&self) -> Option<ResizeEvent> {
-        self.shared.autoscale_step(ResizeTrigger::Manual, None)
-    }
-
-    /// Starts the always-on background autoscaler: a dedicated thread
-    /// taking one [`Runtime::autoscale`]-style step per
-    /// `config.interval`, with `config.cooldown` hysteresis after any
-    /// resize. Loop-applied [`ResizeEvent`]s (tagged
-    /// [`ResizeTrigger::Loop`]) are buffered for
-    /// [`Runtime::drain_resize_events`]. Returns `false` (and does
-    /// nothing) if the loop is already running.
-    pub fn start_autoscaler(&self, config: AutoscaleConfig) -> bool {
-        let mut scaler = self.scaler.lock().expect("scaler slot poisoned");
-        if scaler.is_some() {
-            return false;
-        }
-        *self
-            .shared
-            .scaler_stop
-            .lock()
-            .expect("scaler control poisoned") = false;
-        let shared = Arc::clone(&self.shared);
-        *scaler = Some(
-            std::thread::Builder::new()
-                .name("fcr-autoscaler".into())
-                .spawn(move || scaler_loop(shared, config))
-                .expect("spawning autoscaler failed"),
-        );
-        true
-    }
-
-    /// Stops the background autoscaler and joins its thread. Returns
-    /// `false` if it was not running. Also called by
-    /// [`Runtime::shutdown`] **before** worker teardown, so no resize
-    /// can race the final joins.
-    pub fn stop_autoscaler(&self) -> bool {
-        let handle = self.scaler.lock().expect("scaler slot poisoned").take();
-        let Some(handle) = handle else {
-            return false;
-        };
-        *self
-            .shared
-            .scaler_stop
-            .lock()
-            .expect("scaler control poisoned") = true;
-        self.shared.scaler_cv.notify_all();
-        let _ = handle.join();
-        true
-    }
-
-    /// Whether the background autoscaler thread is currently running.
-    pub fn autoscaler_running(&self) -> bool {
-        self.scaler.lock().expect("scaler slot poisoned").is_some()
-    }
-
-    /// Takes (and clears) the resize events applied by the background
-    /// autoscaler since the last drain. Manual
-    /// [`Runtime::autoscale`] steps return their event directly and
-    /// are **not** buffered here.
+    /// Resize events the pool applied on its own since the last
+    /// drain. Always empty: the pool never resizes itself, and every
+    /// explicit [`Runtime::resize`] is counted by the `pool.resizes`
+    /// named counter instead.
     pub fn drain_resize_events(&self) -> Vec<ResizeEvent> {
-        std::mem::take(
-            &mut *self
-                .shared
-                .pending_resizes
-                .lock()
-                .expect("resize buffer poisoned"),
-        )
+        Vec::new()
     }
 
     /// The live metrics registry (for registering domain counters).
@@ -682,7 +442,7 @@ impl Runtime {
     /// index. Chaos panics travel the full normal path (enqueue,
     /// steal, execute, `catch_unwind`) as independent jobs; forced
     /// resizes go through [`Shared::resize_to`] so they are
-    /// indistinguishable from autoscaler storms.
+    /// indistinguishable from explicit [`Runtime::resize`] calls.
     fn fire_submission_faults(&self) {
         let Some(plan) = self.shared.fault.clone() else {
             return;
@@ -925,15 +685,11 @@ impl Runtime {
         handles.into_iter().map(JobHandle::join).collect()
     }
 
-    /// Graceful shutdown: the background autoscaler (if running) is
-    /// stopped and joined first, then every already-queued job still
-    /// runs, then the workers exit and are joined (including any
-    /// threads retired earlier by a shrink). Also invoked on drop.
-    /// Further submissions panic.
+    /// Graceful shutdown: every already-queued job still runs, then
+    /// the workers exit and are joined (including any threads retired
+    /// earlier by a shrink). Also invoked on drop. Further submissions
+    /// panic.
     pub fn shutdown(&mut self) {
-        // Stop the scaler BEFORE worker teardown: a resize racing the
-        // joins below could spawn workers into slots already taken.
-        self.stop_autoscaler();
         let workers =
             std::mem::take(&mut *self.shared.workers.lock().expect("pool workers poisoned"));
         if workers.is_empty() {
@@ -1277,179 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_grows_on_backlog_and_shrinks_when_idle() {
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
-            ..RuntimeConfig::default()
-        });
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        // Build a backlog deeper than one job per active worker.
-        let handles: Vec<_> = (0..8u64).map(|i| rt.spawn(move || i)).collect();
-        let event = rt.autoscale().expect("backlog must trigger a grow");
-        assert_eq!(event.from, 1);
-        assert_eq!(event.to, 2);
-        assert!(event.queue_depth > 1);
-        assert_eq!(event.trigger, ResizeTrigger::Manual);
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-        for h in handles {
-            assert!(h.join().is_ok());
-        }
-        // Let the utilization window go quiet, then autoscale drains
-        // back down one halving at a time. (Manual steps ignore the
-        // loop cooldown, so back-to-back calls work.)
-        std::thread::sleep(Duration::from_millis(25));
-        let event = rt.autoscale().expect("idle pool must shrink");
-        assert_eq!(event.from, 2);
-        assert_eq!(event.to, 1);
-        assert_eq!(event.queue_depth, 0);
-        assert!(event.utilization < 0.25);
-        // At the floor, nothing more happens.
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(rt.autoscale().is_none());
-        // The shrunken pool still works.
-        assert_eq!(rt.spawn(|| 7).join(), Ok(7));
-    }
-
-    #[test]
-    fn long_running_job_does_not_read_as_idle() {
-        // Regression (utilization accounting): `busy_ns` only advances
-        // on job *completion*, so a pool running one long job used to
-        // read ~0% utilization mid-job and get halved. In-flight
-        // elapsed time must count toward the window.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            min_workers: 1,
-            max_workers: 2,
-            ..RuntimeConfig::default()
-        });
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        // Empty queue + one worker busy the whole window: utilization
-        // ≈ 0.5 ≥ 25%, so the pool must NOT shrink.
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(
-            rt.autoscale().is_none(),
-            "busy pool shrank mid-job: long-running work read as idle"
-        );
-        assert_eq!(rt.active_workers(), 2);
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-    }
-
-    #[test]
-    fn background_autoscaler_grows_under_backlog_and_buffers_loop_events() {
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 256,
-            min_workers: 1,
-            max_workers: 4,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(5),
-                cooldown: Duration::from_millis(5),
-            }),
-            ..RuntimeConfig::default()
-        });
-        assert!(rt.autoscaler_running());
-        assert!(
-            !rt.start_autoscaler(AutoscaleConfig::default()),
-            "second start is a no-op"
-        );
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        let handles: Vec<_> = (0..16u64).map(|i| rt.spawn(move || i)).collect();
-        // The loop must notice the backlog on its own — no manual
-        // autoscale() call here.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.active_workers() < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(
-            rt.active_workers() >= 2,
-            "autoscaler loop never grew the pool"
-        );
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-        for h in handles {
-            assert!(h.join().is_ok());
-        }
-        assert!(rt.stop_autoscaler());
-        assert!(!rt.stop_autoscaler(), "second stop is a no-op");
-        assert!(!rt.autoscaler_running());
-        let events = rt.drain_resize_events();
-        assert!(!events.is_empty(), "loop resizes must be buffered");
-        for event in &events {
-            assert_eq!(event.trigger, ResizeTrigger::Loop);
-        }
-        assert_eq!(events[0].from, 1);
-        assert!(events[0].to >= 2);
-        assert!(events[0].queue_depth > 1);
-        // The drain is destructive.
-        assert!(rt.drain_resize_events().is_empty());
-    }
-
-    #[test]
-    fn autoscaler_loop_converges_without_thrashing_on_steady_work() {
-        // Property-ish: a steady workload (shallow queue, busy
-        // workers) must keep the loop quiet — the cooldown alone
-        // bounds resizes to ≤ 2 over the window, and the signals
-        // should not trigger even that many.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 2,
-            queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(5),
-                cooldown: Duration::from_millis(200),
-            }),
-            ..RuntimeConfig::default()
-        });
-        let before = rt.snapshot().counter("pool.resizes").unwrap_or(0);
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(350) {
-            // Two jobs on two workers: queue depth never exceeds the
-            // active count (no grow signal), and the spinning keeps
-            // utilization well above the shrink threshold.
-            let outcomes = rt.run_batch((0..2u64).map(|i| {
-                move || {
-                    let t = Instant::now();
-                    while t.elapsed() < Duration::from_micros(300) {
-                        std::hint::spin_loop();
-                    }
-                    i
-                }
-            }));
-            assert!(outcomes.iter().all(Result::is_ok));
-        }
-        let resizes = rt.snapshot().counter("pool.resizes").unwrap_or(0) - before;
-        assert!(
-            resizes <= 2,
-            "autoscaler thrashed: {resizes} resizes on a steady workload"
-        );
-    }
-
-    #[test]
     fn urgent_jobs_complete_before_queued_bulk_on_one_worker() {
         let rt = small(1, 64);
         let (started_tx, started_rx) = mpsc::channel();
@@ -1524,27 +1107,6 @@ mod tests {
         rt.shutdown();
         // Resizing after shutdown is a harmless no-op.
         assert_eq!(rt.resize(3), rt.active_workers());
-    }
-
-    #[test]
-    fn shutdown_stops_the_autoscaler_first() {
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 8,
-            min_workers: 1,
-            max_workers: 2,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(1),
-                cooldown: Duration::from_millis(1),
-            }),
-            ..RuntimeConfig::default()
-        });
-        assert!(rt.autoscaler_running());
-        assert_eq!(rt.spawn(|| 42).join(), Ok(42));
-        rt.shutdown();
-        assert!(!rt.autoscaler_running());
-        // Idempotent with the scaler involved, too.
-        rt.shutdown();
     }
 
     #[test]

@@ -103,13 +103,16 @@ fn serve_one(mut stream: TcpStream, service: &Service) {
     } else {
         (service.metrics_text(), "text/plain; charset=utf-8")
     };
-    let response = format!(
-        "HTTP/1.0 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+    let header = format!(
+        "HTTP/1.0 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         content_type,
         body.len(),
-        body
     );
-    let _ = stream.write_all(response.as_bytes());
+    // The body can run to megabytes: write it as rendered instead of
+    // copying it behind the header first.
+    let _ = stream
+        .write_all(header.as_bytes())
+        .and_then(|()| stream.write_all(body.as_bytes()));
     let _ = stream.flush();
 }
 

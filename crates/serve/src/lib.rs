@@ -70,18 +70,13 @@ pub use service::{
 };
 pub use snapshot::ServiceSnapshot;
 
-use fcr_runtime::{AutoscaleConfig, Runtime, RuntimeConfig};
+use fcr_runtime::Runtime;
 use std::sync::{Arc, OnceLock};
 
-/// The process-wide serve pool: sized by available parallelism with
-/// the always-on background autoscaler, shared by every
-/// [`Service::on_shared_pool`] in the process. Built on first use.
+/// The process-wide serve pool: a [`Runtime::new`] pool of one worker
+/// per available core, shared by every [`Service::on_shared_pool`] in
+/// the process. Built on first use.
 pub fn shared_runtime() -> Arc<Runtime> {
     static POOL: OnceLock<Arc<Runtime>> = OnceLock::new();
-    Arc::clone(POOL.get_or_init(|| {
-        Arc::new(Runtime::with_config(RuntimeConfig {
-            autoscale: Some(AutoscaleConfig::default()),
-            ..RuntimeConfig::default()
-        }))
-    }))
+    Arc::clone(POOL.get_or_init(|| Arc::new(Runtime::new())))
 }

@@ -632,11 +632,6 @@ impl Service {
     /// accounting identity before returning.
     pub fn step(&self) -> StepReport {
         let started = Instant::now();
-        // Flush buffered autoscaler decisions into telemetry so the
-        // metrics surface shows the pool's sizing history live.
-        for event in self.runtime.drain_resize_events() {
-            fcr_telemetry::record_resize(event);
-        }
         let mut st = self.lock();
         st.slot += 1;
         st.counts.steps += 1;

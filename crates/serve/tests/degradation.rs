@@ -32,7 +32,6 @@ fn starved_pool(release: &Arc<AtomicBool>) -> Arc<Runtime> {
         min_workers: 1,
         max_workers: 1,
         shard: ShardPolicy::Auto,
-        autoscale: None,
     }));
     let started = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&started);

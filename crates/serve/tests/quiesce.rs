@@ -20,7 +20,6 @@ fn service_with_one_slow_job(delay: Duration) -> Service {
             min_workers: 2,
             max_workers: 2,
             shard: ShardPolicy::Auto,
-            autoscale: None,
         },
         FaultPlan::new(&[FaultEvent {
             at: 0,

@@ -4,11 +4,11 @@
 //!
 //! [`crate::session::SimSession`] executes its window jobs here unless
 //! a session is given a runtime of its own, so the whole process shares
-//! **one** elastic worker pool — a hard concurrency cap, replacing the
-//! seed's unbounded per-run thread spawning. The shared pool runs the
-//! always-on background autoscaler ([`fcr_runtime::AutoscaleConfig`])
-//! so it sizes itself to the workload without callers doing anything;
-//! resizes never change results, only parallelism.
+//! **one** fixed-size worker pool — a hard concurrency cap, replacing
+//! the seed's unbounded per-run thread spawning. The pool keeps one
+//! worker per available core for the life of the process: the batches
+//! it runs are independent seeded runs, so a fixed width returning
+//! results in submission order is all they need.
 //!
 //! # Determinism
 //!
@@ -20,7 +20,7 @@
 //! common-random-numbers property across schemes is preserved
 //! (verified by `tests/determinism.rs`).
 
-use fcr_runtime::{AutoscaleConfig, MetricsSnapshot, Runtime, RuntimeConfig};
+use fcr_runtime::{MetricsSnapshot, Runtime};
 use std::sync::OnceLock;
 
 /// Name of the domain counter tracking simulated channel slots.
@@ -32,18 +32,11 @@ pub const SOLVER_COUNTER: &str = "solver_invocations";
 pub const SHARDS_COUNTER: &str = "shards_executed";
 
 /// The process-wide runtime, built on first use and shared by every
-/// experiment in the process. Sized by
-/// [`std::thread::available_parallelism`], with the always-on
-/// background autoscaler started (self-managing between `min_workers`
-/// and the parallelism ceiling; a no-op on 1-core hosts).
+/// experiment in the process: a [`Runtime::new`] pool of
+/// [`std::thread::available_parallelism`] workers.
 pub fn shared() -> &'static Runtime {
     static POOL: OnceLock<Runtime> = OnceLock::new();
-    POOL.get_or_init(|| {
-        Runtime::with_config(RuntimeConfig {
-            autoscale: Some(AutoscaleConfig::default()),
-            ..RuntimeConfig::default()
-        })
-    })
+    POOL.get_or_init(Runtime::new)
 }
 
 /// A live snapshot of the shared pool's metrics (jobs, queue depth,
@@ -61,10 +54,7 @@ mod tests {
         let a = shared() as *const Runtime;
         let b = shared() as *const Runtime;
         assert_eq!(a, b);
-        assert!(shared().workers() >= 1);
-        assert!(
-            shared().autoscaler_running(),
-            "shared pool must be self-managing"
-        );
+        let cores = fcr_runtime::RuntimeConfig::default().workers;
+        assert_eq!(shared().workers(), cores, "one worker per core");
     }
 }

@@ -35,12 +35,10 @@
 //! `tests/determinism.rs` pins this for both the fluid and the packet
 //! engine.
 //!
-//! Before each batch the session lets the elastic pool take one
-//! manual autoscale step within its configured bounds (queue-depth and
-//! utilization driven; the shared pool additionally runs an always-on
-//! background autoscaler) and records every resize — manual and
-//! loop-triggered alike — plus one [`fcr_telemetry::ShardRecord`] per
-//! executed window, into the global telemetry sink.
+//! The window size is cut from the pool's worker count, which stays
+//! fixed unless a caller resizes the pool. Each executed window
+//! records one [`fcr_telemetry::ShardRecord`] into the global
+//! telemetry sink.
 //!
 //! # Priorities
 //!
@@ -195,7 +193,6 @@ impl SimSession {
     /// policy and worker count.
     pub fn run(&self, scheme: Scheme) -> SessionResult {
         let runtime = self.pool();
-        record_pool_resizes(runtime);
         let window_gops = self
             .shard_policy()
             .window_gops(u64::from(self.config.gops), runtime.active_workers());
@@ -236,7 +233,6 @@ impl SimSession {
     pub fn run_packet(&self, scheme: Scheme) -> PacketSessionResult {
         let seeds = SeedSequence::new(self.master_seed);
         let runtime = self.pool();
-        record_pool_resizes(runtime);
         let total_gops = u64::from(self.config.gops);
         let window_gops = self
             .shard_policy()
@@ -326,18 +322,6 @@ impl SimSession {
             }
         }
         series
-    }
-}
-
-/// One manual elastic step before the batch, then a flush of every
-/// buffered loop-triggered resize, all into the telemetry sink — so a
-/// JSONL export shows the full sizing history with provenance.
-fn record_pool_resizes(runtime: &fcr_runtime::Runtime) {
-    if let Some(event) = runtime.autoscale() {
-        fcr_telemetry::record_resize(event);
-    }
-    for event in runtime.drain_resize_events() {
-        fcr_telemetry::record_resize(event);
     }
 }
 
@@ -696,6 +680,61 @@ mod tests {
             s.clone().priority(Priority::urgent()).priority_ref(),
             Priority::urgent()
         );
+    }
+
+    #[test]
+    fn a_batch_leaves_its_pool_at_full_width() {
+        // Regression: a sizing step taken before each batch once read
+        // the idle pool as unused and halved it just before the work
+        // arrived. A 2-worker pool must still run two jobs at once
+        // after a batch, whatever the host's core count.
+        use std::sync::{Condvar, Mutex};
+        use std::time::{Duration, Instant};
+
+        let runtime = Arc::new(Runtime::with_config(fcr_runtime::RuntimeConfig {
+            workers: 2,
+            ..fcr_runtime::RuntimeConfig::default()
+        }));
+        let _ = quick()
+            .on_runtime(Arc::clone(&runtime))
+            .run(Scheme::Proposed);
+        assert_eq!(runtime.active_workers(), 2, "the batch shrank the pool");
+
+        let before = runtime.snapshot().per_worker;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let started = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let started = Arc::clone(&started);
+                runtime.spawn(move || {
+                    let (count, cv) = &*started;
+                    let mut n = count.lock().unwrap();
+                    *n += 1;
+                    cv.notify_all();
+                    while *n < 2 {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            return false;
+                        }
+                        n = cv.wait_timeout(n, left).unwrap().0;
+                    }
+                    true
+                })
+            })
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.join(), Ok(true), "the two jobs never overlapped");
+        }
+        // A worker files its per-worker record just after the job's
+        // handle is fulfilled, so wait for both records to land.
+        let grew = |after: &[fcr_runtime::WorkerSnapshot]| {
+            (0..2).all(|i| after[i].jobs_executed > before[i].jobs_executed)
+        };
+        while !grew(&runtime.snapshot().per_worker) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let after = runtime.snapshot().per_worker;
+        assert!(grew(&after), "a worker ran neither job: {after:?}");
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //!
 //! | `type` | one line per | fields |
 //! |---|---|---|
-//! | `meta` | export | `dropped_solves`, `dropped_greedy`, `dropped_shards`, `dropped_spans`, `records_dropped` |
+//! | `meta` | export | `dropped_solves`, `dropped_greedy`, `dropped_shards`, `dropped_spans`, `dropped_counters`, `records_dropped` |
 //! | `phase` | pipeline phase | `phase`, `count`, `total_ns`, `mean_ns`, `max_ns`, `buckets_us` |
 //! | `solve` | dual solve | `iterations`, `converged`, `residual`, `lambda` |
 //! | `greedy` | greedy allocation | `steps`, `gain`, `upper_bound_gain`, `gap`, `optimality_ratio`, `gap_terms` |
 //! | `counter` | named counter | `name`, `value` |
 //! | `shard` | executed intra-run shard | `run`, `window`, `gop_start`, `gops`, `wall_ns` |
 //! | `span` | span event (opt-in) | `id`, `parent` (`null` for roots), `phase`, `wall_ns` |
-//! | `resize` | elastic-pool resize | `from`, `to`, `queue_depth`, `utilization`, `trigger` (`manual`/`loop`) |
 //! | `worker` | pool worker | `index`, `busy_ns`, `lifetime_ns`, `jobs`, `steals`, `utilization` |
 //! | `pool` | runtime snapshot | `workers`, `jobs_submitted`, `jobs_completed`, `jobs_failed`, `jobs_stolen` |
 //!
@@ -24,7 +23,7 @@
 
 use crate::record::{GreedyRecord, ShardRecord, SolveRecord, SpanRecord};
 use crate::sink::TelemetrySnapshot;
-use fcr_runtime::{MetricsSnapshot, ResizeEvent};
+use fcr_runtime::MetricsSnapshot;
 use std::fmt::Write as _;
 
 /// The JSONL line (no trailing newline) for one dual-solve record.
@@ -86,29 +85,18 @@ pub(crate) fn span_line(s: &SpanRecord) -> String {
     out
 }
 
-/// The JSONL line (no trailing newline) for one pool-resize event.
-pub(crate) fn resize_line(r: &ResizeEvent) -> String {
-    format!(
-        "{{\"type\":\"resize\",\"from\":{},\"to\":{},\"queue_depth\":{},\"utilization\":{},\"trigger\":\"{}\"}}",
-        r.from,
-        r.to,
-        r.queue_depth,
-        num(r.utilization),
-        r.trigger.name(),
-    )
-}
-
 /// Renders `snapshot` as JSONL; when `runtime` is given, per-worker
 /// utilization and a pool summary line are appended.
 pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"type\":\"meta\",\"dropped_solves\":{},\"dropped_greedy\":{},\"dropped_shards\":{},\"dropped_spans\":{},\"records_dropped\":{}}}",
+        "{{\"type\":\"meta\",\"dropped_solves\":{},\"dropped_greedy\":{},\"dropped_shards\":{},\"dropped_spans\":{},\"dropped_counters\":{},\"records_dropped\":{}}}",
         snapshot.dropped_solves,
         snapshot.dropped_greedy,
         snapshot.dropped_shards,
         snapshot.dropped_spans,
+        snapshot.dropped_counters,
         snapshot.records_dropped()
     );
     for (phase, p) in &snapshot.phases {
@@ -151,10 +139,6 @@ pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>)
     }
     for s in &snapshot.spans {
         out.push_str(&span_line(s));
-        out.push('\n');
-    }
-    for r in &snapshot.resizes {
-        out.push_str(&resize_line(r));
         out.push('\n');
     }
     for (name, value) in &snapshot.counters {
@@ -231,12 +215,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnaps
             );
         }
     }
-
-    let _ = writeln!(
-        out,
-        "# TYPE fcr_pool_resizes_total counter\nfcr_pool_resizes_total {}",
-        snapshot.resizes.len()
-    );
 
     if let Some(rt) = runtime {
         let _ = writeln!(
@@ -411,13 +389,6 @@ mod tests {
             gops: 5,
             wall_ns: 1_234,
         });
-        sink.record_resize(crate::ResizeEvent {
-            from: 1,
-            to: 2,
-            queue_depth: 7,
-            utilization: 0.5,
-            trigger: crate::ResizeTrigger::Loop,
-        });
         sink.snapshot()
     }
 
@@ -440,9 +411,6 @@ mod tests {
         assert!(out.contains("\"greedy.inner_solves\""));
         assert!(out.contains(
             "{\"type\":\"shard\",\"run\":1,\"window\":2,\"gop_start\":10,\"gops\":5,\"wall_ns\":1234}"
-        ));
-        assert!(out.contains(
-            "{\"type\":\"resize\",\"from\":1,\"to\":2,\"queue_depth\":7,\"utilization\":0.5,\"trigger\":\"loop\"}"
         ));
         // No worker lines without a runtime snapshot.
         assert!(!out.contains("\"type\":\"worker\""));
@@ -491,7 +459,8 @@ mod tests {
 
     #[test]
     fn overflowing_the_record_cap_is_loud_in_the_meta_line() {
-        // Push past MAX_RECORDS on every channel and verify the drops
+        // Push past MAX_RECORDS on the record channels and the counter
+        // names, and verify the drops
         // surface — individually and as the records_dropped total — in
         // the JSONL meta line instead of vanishing.
         let sink = TelemetrySink::new();
@@ -520,14 +489,18 @@ mod tests {
                 wall_ns: 1,
             });
         }
+        for i in 0..crate::MAX_RECORDS + 3 {
+            sink.incr(&format!("c{i}"), 1);
+        }
         let snap = sink.snapshot();
-        assert_eq!(snap.records_dropped(), 7);
+        assert_eq!(snap.records_dropped(), 10);
         let out = to_jsonl(&snap, None);
         let meta = out.lines().next().unwrap();
         assert_eq!(
             meta,
             "{\"type\":\"meta\",\"dropped_solves\":2,\"dropped_greedy\":1,\
-             \"dropped_shards\":4,\"dropped_spans\":0,\"records_dropped\":7}"
+             \"dropped_shards\":4,\"dropped_spans\":0,\"dropped_counters\":3,\
+             \"records_dropped\":10}"
         );
     }
 
@@ -613,7 +586,6 @@ mod tests {
             );
         }
         assert!(out.contains("fcr_domain_counter_total{name=\"greedy.inner_solves\"} 9"));
-        assert!(out.contains("fcr_pool_resizes_total 1"));
         assert!(out.contains("fcr_pool_jobs_completed_total 8"));
         assert!(out.contains("fcr_job_wall_us{quantile=\"0.5\"}"));
         assert!(out.contains("fcr_job_wall_us_count 8"));

@@ -121,8 +121,8 @@ pub struct TelemetrySink {
     dropped_shards: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
     dropped_spans: AtomicU64,
-    resizes: Mutex<Vec<ResizeEvent>>,
     counters: Mutex<BTreeMap<String, u64>>,
+    dropped_counters: AtomicU64,
     /// Keep-1-in-N sampling divisor for the per-record channels
     /// (0 and 1 both mean "keep everything").
     sample_every: AtomicU64,
@@ -146,8 +146,8 @@ impl TelemetrySink {
     /// (solves, greedy, shards, span events). `0` and `1` both keep
     /// everything. Sampling is what makes always-on capture affordable:
     /// skipped records cost one atomic increment and are *not* counted
-    /// as dropped — only cap overflow is. Aggregate phase timings,
-    /// counters, and resize events are never sampled.
+    /// as dropped — only cap overflow is. Aggregate phase timings and
+    /// counters are never sampled.
     pub fn set_sampling(&self, every: u64) {
         self.sample_every.store(every.max(1), Ordering::Relaxed);
     }
@@ -288,18 +288,21 @@ impl TelemetrySink {
         }
     }
 
-    /// Appends one elastic-pool resize event (resizes are rare — a few
-    /// per batch at most — so they are stored uncapped and never
-    /// sampled).
-    pub fn record_resize(&self, event: ResizeEvent) {
-        self.stream_line(&export::resize_line(&event));
-        lock(&self.resizes).push(event);
-    }
-
-    /// Adds `n` to the named counter (registered on first use).
+    /// Adds `n` to the named counter, registering it on first use
+    /// while fewer than [`MAX_RECORDS`] names exist. An increment of a
+    /// new name past the cap is counted in `dropped_counters` instead,
+    /// so a caller minting unbounded names cannot grow the sink (or
+    /// the `/metrics` body rendered from it) without bound.
     pub fn incr(&self, name: &str, n: u64) {
         let mut counters = lock(&self.counters);
-        *counters.entry(name.to_string()).or_insert(0) += n;
+        if let Some(value) = counters.get_mut(name) {
+            *value += n;
+        } else if counters.len() < MAX_RECORDS {
+            counters.insert(name.to_string(), n);
+        } else {
+            drop(counters);
+            self.dropped_counters.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of everything the sink has aggregated.
@@ -317,11 +320,12 @@ impl TelemetrySink {
             dropped_shards: self.dropped_shards.load(Ordering::Relaxed),
             spans: lock(&self.spans).clone(),
             dropped_spans: self.dropped_spans.load(Ordering::Relaxed),
-            resizes: lock(&self.resizes).clone(),
+            resizes: Vec::new(),
             counters: lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
+            dropped_counters: self.dropped_counters.load(Ordering::Relaxed),
             stream_lines: self.stream_lines.load(Ordering::Relaxed),
             stream_errors: self.stream_errors.load(Ordering::Relaxed),
         }
@@ -349,10 +353,11 @@ impl TelemetrySink {
             dropped_shards: self.dropped_shards.swap(0, Ordering::Relaxed),
             spans: std::mem::take(&mut *lock(&self.spans)),
             dropped_spans: self.dropped_spans.swap(0, Ordering::Relaxed),
-            resizes: std::mem::take(&mut *lock(&self.resizes)),
+            resizes: Vec::new(),
             counters: std::mem::take(&mut *lock(&self.counters))
                 .into_iter()
                 .collect(),
+            dropped_counters: self.dropped_counters.swap(0, Ordering::Relaxed),
             stream_lines: self.stream_lines.swap(0, Ordering::Relaxed),
             stream_errors: self.stream_errors.swap(0, Ordering::Relaxed),
         }
@@ -374,8 +379,8 @@ impl TelemetrySink {
         self.dropped_shards.store(0, Ordering::Relaxed);
         lock(&self.spans).clear();
         self.dropped_spans.store(0, Ordering::Relaxed);
-        lock(&self.resizes).clear();
         lock(&self.counters).clear();
+        self.dropped_counters.store(0, Ordering::Relaxed);
         self.solve_seq.store(0, Ordering::Relaxed);
         self.greedy_seq.store(0, Ordering::Relaxed);
         self.shard_seq.store(0, Ordering::Relaxed);
@@ -392,10 +397,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// A point-in-time copy of a [`TelemetrySink`].
-///
-/// Not `PartialEq`: [`ResizeEvent`] carries an `f64` utilization
-/// measurement and deliberately opts out of float equality; tests
-/// compare the fields of interest directly.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Per-phase timing statistics, in pipeline order.
@@ -417,10 +418,15 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<SpanRecord>,
     /// Span events dropped past [`MAX_RECORDS`].
     pub dropped_spans: u64,
-    /// Elastic-pool resize events, in decision order.
+    /// Resize events the pool applied on its own. Always empty: the
+    /// pool never resizes itself (explicit resizes are counted by the
+    /// runtime's `pool.resizes` named counter).
     pub resizes: Vec<ResizeEvent>,
     /// Named counters, sorted by name.
     pub counters: Vec<(String, u64)>,
+    /// Increments of new counter names refused past [`MAX_RECORDS`]
+    /// distinct names.
+    pub dropped_counters: u64,
     /// JSONL lines successfully written to an attached live stream.
     pub stream_lines: u64,
     /// Live-stream write/flush failures (a failure detaches the
@@ -462,13 +468,17 @@ impl TelemetrySnapshot {
     }
 
     /// Total records of **any** kind dropped past [`MAX_RECORDS`]
-    /// (solves + greedy + shards + span events). Non-zero means the capture window
-    /// outgrew the cap and the per-record channels are truncated; the
-    /// aggregate phase/counter statistics remain complete. Surfaced in
-    /// the JSONL `meta` line and in `telemetry_table`, so capped
-    /// captures are never silent.
+    /// (solves + greedy + shards + span events + new counter names).
+    /// Non-zero means the capture window outgrew the cap and those
+    /// channels are truncated; the aggregate phase statistics remain
+    /// complete. Surfaced in the JSONL `meta` line and in
+    /// `telemetry_table`, so capped captures are never silent.
     pub fn records_dropped(&self) -> u64 {
-        self.dropped_solves + self.dropped_greedy + self.dropped_shards + self.dropped_spans
+        self.dropped_solves
+            + self.dropped_greedy
+            + self.dropped_shards
+            + self.dropped_spans
+            + self.dropped_counters
     }
 
     /// Mean wall time per executed shard in nanoseconds (`None` when no
@@ -544,7 +554,6 @@ mod tests {
             && s.greedy.is_empty()
             && s.shards.is_empty()
             && s.spans.is_empty()
-            && s.resizes.is_empty()
             && s.counters.is_empty()
             && s.records_dropped() == 0
             && s.phases.iter().all(|(_, p)| p.count == 0)
@@ -554,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_resize_records_accumulate_and_reset() {
+    fn shard_records_accumulate_and_reset() {
         let sink = TelemetrySink::new();
         sink.record_shard(ShardRecord {
             run: 0,
@@ -570,22 +579,9 @@ mod tests {
             gops: 5,
             wall_ns: 3_000,
         });
-        sink.record_resize(ResizeEvent {
-            from: 2,
-            to: 4,
-            queue_depth: 9,
-            utilization: 0.9,
-            trigger: fcr_runtime::ResizeTrigger::Manual,
-        });
         let snap = sink.snapshot();
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.mean_shard_wall_ns(), Some(2_000.0));
-        assert_eq!(snap.resizes.len(), 1);
-        // Field-wise comparison: ResizeEvent has no PartialEq (f64).
-        assert_eq!(snap.resizes[0].from, 2);
-        assert_eq!(snap.resizes[0].to, 4);
-        assert_eq!(snap.resizes[0].queue_depth, 9);
-        assert_eq!(snap.resizes[0].trigger, fcr_runtime::ResizeTrigger::Manual);
         sink.reset();
         assert!(snap_is_empty(&sink.snapshot()));
     }
@@ -688,28 +684,20 @@ mod tests {
             residual: 0.0,
             lambda: vec![0.5],
         });
-        sink.record_resize(ResizeEvent {
-            from: 1,
-            to: 2,
-            queue_depth: 0,
-            utilization: 0.1,
-            trigger: fcr_runtime::ResizeTrigger::Loop,
-        });
         // Every line is already complete and flushed: no torn tails.
         let out = buf.contents();
         assert!(out.ends_with('\n'), "unterminated stream tail: {out:?}");
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"type\":\"shard\""));
         assert!(lines[1].contains("\"type\":\"solve\""));
-        assert!(lines[2].contains("\"type\":\"resize\""));
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert_eq!(sink.snapshot().stream_lines, 3);
+        assert_eq!(sink.snapshot().stream_lines, 2);
         sink.detach_stream();
         sink.record_shard(shard(4));
-        assert_eq!(buf.contents().lines().count(), 3, "detached stream grew");
+        assert_eq!(buf.contents().lines().count(), 2, "detached stream grew");
     }
 
     #[test]
@@ -761,5 +749,24 @@ mod tests {
         assert_eq!(snap.solves.len(), MAX_RECORDS);
         assert_eq!(snap.dropped_solves, 3);
         assert_eq!(snap.records_dropped(), 3);
+    }
+
+    #[test]
+    fn counter_names_are_capped_and_overflow_counts_as_dropped() {
+        let sink = TelemetrySink::new();
+        let extra = 5;
+        for i in 0..MAX_RECORDS + extra {
+            sink.incr(&format!("c{i}"), 1);
+        }
+        // Names already registered keep counting past the cap.
+        sink.incr("c0", 1);
+        let snap = sink.snapshot();
+        assert_eq!(snap.counters.len(), MAX_RECORDS);
+        assert_eq!(snap.counter("c0"), Some(2));
+        assert_eq!(snap.counter(&format!("c{MAX_RECORDS}")), None);
+        assert_eq!(snap.dropped_counters, extra as u64);
+        assert_eq!(snap.records_dropped(), extra as u64);
+        sink.reset();
+        assert!(snap_is_empty(&sink.snapshot()));
     }
 }

@@ -49,7 +49,6 @@ impl FaultCase {
             min_workers: 1,
             max_workers: 4,
             shard: ShardPolicy::Auto,
-            autoscale: None,
         };
         Runtime::with_faults(config, self.plan())
     }

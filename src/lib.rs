@@ -74,8 +74,8 @@ pub mod prelude {
     pub use fcr_net::interference::InterferenceGraph;
     pub use fcr_net::node::{FbsId, UserId};
     pub use fcr_runtime::{
-        AutoscaleConfig, JobError, JobOutcome, MetricsSnapshot, Priority, PriorityClass,
-        ResizeEvent, ResizeTrigger, Runtime, RuntimeConfig, ShardPolicy,
+        JobError, JobOutcome, MetricsSnapshot, Priority, PriorityClass, ResizeEvent, Runtime,
+        RuntimeConfig, ShardPolicy,
     };
     pub use fcr_scenario::{
         ChurnDriver, ChurnSchedule, MobilityModel, Pack, PackError, PACK_SCHEMA_VERSION,

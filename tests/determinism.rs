@@ -260,11 +260,14 @@ fn pooled_sweep_matches_serial_computation() {
 }
 
 #[test]
-fn autoscaler_on_and_off_are_bit_identical_in_both_engines() {
-    // The background autoscaler resizes the shared pool while jobs are
-    // in flight; it must change only *where* shards execute, never a
-    // single bit of either engine's output. Toggle the loop around
-    // otherwise-identical sessions and compare.
+fn in_flight_resizes_are_bit_identical_in_both_engines() {
+    // Resizing a pool while window jobs are in flight must change only
+    // *where* shards execute, never a single bit of either engine's
+    // output. A helper thread cycles an elastic pool through every
+    // width while both engines run on it; a fixed pool is the baseline.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     let cfg = SimConfig {
         gops: 5,
         ..SimConfig::default()
@@ -276,27 +279,56 @@ fn autoscaler_on_and_off_are_bit_identical_in_both_engines() {
             .seed(8181)
             .shards(ShardPolicy::Windows(2))
     };
-    let pool = fcr::sim::pool::shared();
-
-    // OFF baseline (the shared pool starts its loop by default).
-    pool.stop_autoscaler();
-    assert!(!pool.autoscaler_running());
-    let fluid_off = make().run(Scheme::Proposed).results();
-    let packet_off = make().run_packet(Scheme::Proposed).results();
-
-    // ON, with an aggressive interval so the loop actually steps while
-    // the windows execute.
-    assert!(pool.start_autoscaler(AutoscaleConfig {
-        interval: std::time::Duration::from_millis(1),
-        ..AutoscaleConfig::default()
+    let fixed = Arc::new(Runtime::with_config(RuntimeConfig {
+        workers: 2,
+        ..RuntimeConfig::default()
     }));
-    let fluid_on = make().run(Scheme::Proposed).results();
-    let packet_on = make().run_packet(Scheme::Proposed).results();
+    let fluid_fixed = make()
+        .on_runtime(Arc::clone(&fixed))
+        .run(Scheme::Proposed)
+        .results();
+    let packet_fixed = make()
+        .on_runtime(fixed)
+        .run_packet(Scheme::Proposed)
+        .results();
 
-    assert_eq!(fluid_on, fluid_off, "fluid engine diverged under autoscale");
+    let elastic = Arc::new(Runtime::with_config(RuntimeConfig {
+        workers: 1,
+        min_workers: 1,
+        max_workers: 4,
+        ..RuntimeConfig::default()
+    }));
+    let stop = AtomicBool::new(false);
+    let (fluid_resized, packet_resized) = std::thread::scope(|scope| {
+        scope.spawn(|| loop {
+            // At least one full cycle, however quickly the sessions end.
+            for width in 1..=4 {
+                elastic.resize(width);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+        });
+        let fluid = make()
+            .on_runtime(Arc::clone(&elastic))
+            .run(Scheme::Proposed)
+            .results();
+        let packet = make()
+            .on_runtime(Arc::clone(&elastic))
+            .run_packet(Scheme::Proposed)
+            .results();
+        stop.store(true, Ordering::Release);
+        (fluid, packet)
+    });
+    assert!(elastic.snapshot().counter("pool.resizes").unwrap_or(0) >= 3);
     assert_eq!(
-        packet_on, packet_off,
-        "packet engine diverged under autoscale"
+        fluid_resized, fluid_fixed,
+        "fluid engine diverged under resizes"
+    );
+    assert_eq!(
+        packet_resized, packet_fixed,
+        "packet engine diverged under resizes"
     );
 }
 
